@@ -53,10 +53,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "memlook/frontend/FuzzHarness.h"
-#include "memlook/service/EditScriptFuzz.h"
-#include "memlook/service/SnapshotFuzz.h"
-#include "memlook/service/WalFuzz.h"
+#include "fuzz/EditScriptFuzz.h"
+#include "fuzz/FuzzHarness.h"
+#include "fuzz/SnapshotFuzz.h"
+#include "fuzz/WalFuzz.h"
 
 #include <cstdlib>
 #include <cstring>

@@ -21,6 +21,12 @@
 /// the preprocessing artifacts the lookup algorithm needs: a topological
 /// order of classes and the transitive base / virtual-base closures.
 ///
+/// A finalized hierarchy is immutable. To change one, take a draft():
+/// an unfinalized copy with the same class ids, which accepts the add
+/// edits and their removal mirrors (removeMember, removeBase,
+/// removeClass) and is then finalized on its own. The service's edit
+/// scripts and HierarchyBuilder::fromHierarchy both work this way.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MEMLOOK_CHG_HIERARCHY_H
@@ -103,7 +109,8 @@ public:
     /// Direct bases in base-specifier-list order (the order matters for
     /// object layout and for deterministic algorithm traversal).
     std::vector<BaseSpecifier> DirectBases;
-    /// Classes that list this class as a direct base, in creation order.
+    /// Classes that list this class as a direct base, in creation
+    /// (= id) order.
     std::vector<ClassId> DirectDerived;
     /// Members declared directly in this class, in declaration order.
     std::vector<MemberDecl> Members;
@@ -143,19 +150,44 @@ public:
                            SourceLoc Loc = SourceLoc(),
                            DiagnosticEngine *Diags = nullptr);
 
+  /// Removes \p Class's declaration of \p Name (a member or a
+  /// using-declaration). Returns false if \p Class declares no such name.
+  bool removeMember(ClassId Class, std::string_view Name);
+
+  /// Removes the direct edge \p Base -> \p Derived from both endpoints'
+  /// lists. Returns false if there is no such edge.
+  bool removeBase(ClassId Derived, ClassId Base);
+
+  /// Removes \p Class together with its own bases and members. Returns
+  /// false, changing nothing, while another class still names \p Class
+  /// as a base or as a using-source. The surviving classes keep their
+  /// creation order, so every later class's id moves down by one; every
+  /// stored id is remapped, and ids held outside this hierarchy go stale.
+  bool removeClass(ClassId Class);
+
+  /// An unfinalized copy with the same class ids, bases, members and
+  /// source locations, open to further edits and a finalize() of its own.
+  /// Only the names still in use are interned again (class names in id
+  /// order, then member names in declaration order): a name that was
+  /// removed, or only ever queried, does not carry over, so a chain of
+  /// drafts keeps the symbol space the size of the live hierarchy.
+  Hierarchy draft() const;
+
   /// Non-mutating validation of the graph as described so far: reports
   /// inheritance cycles and using-declarations that do not name a
   /// (transitive) base, as structured Diagnostics. Duplicate classes and
   /// duplicate/conflicting base edges are rejected at insertion time
   /// (createClass / addBase), so a hierarchy that reached this point can
   /// only be ill-formed in those two global ways. Returns true iff the
-  /// hierarchy would finalize successfully. Usable before finalize();
-  /// does not change any state.
-  bool validate(DiagnosticEngine &Diags) const;
+  /// hierarchy would finalize successfully: it finalizes a draft().
+  bool validate(DiagnosticEngine &Diags) const {
+    return draft().finalize(Diags);
+  }
 
   /// Validates the graph and computes the topological order and the base /
-  /// virtual-base closures. Returns false (and reports) on a cycle.
-  /// Construction calls are invalid after a successful finalize().
+  /// virtual-base closures. Returns false (and reports every cycle and
+  /// bad using-target found) if the graph is ill-formed. Construction
+  /// calls are invalid after a successful finalize().
   bool finalize(DiagnosticEngine &Diags);
 
   /// True once finalize() has succeeded.

@@ -32,8 +32,8 @@ namespace memlook {
 /// Maps the first error in \p Diags to the Status channel (UnknownBase
 /// -> UnknownClass, InheritanceCycle -> InheritanceCycle, ...). Returns
 /// ok when \p Diags holds no errors. Shared by HierarchyBuilder's
-/// tryBuild() and by services that rebuild hierarchies through the raw
-/// Hierarchy mutation API.
+/// tryBuild() and by the service's edit scripts, which finalize an
+/// edited Hierarchy::draft().
 Status statusFromDiagnostics(const DiagnosticEngine &Diags);
 
 /// Fluent builder over Hierarchy. Errors in the described hierarchy
@@ -53,10 +53,10 @@ public:
 
   HierarchyBuilder() = default;
 
-  /// Seeds the builder with a copy of \p Source's classes, bases, and
-  /// members (a finalized hierarchy is immutable; this is how a tool
-  /// extends one: copy, add, finalize again). Ids are renumbered
-  /// densely in topological order; names are preserved.
+  /// Seeds the builder with a draft of \p Source: its classes, bases,
+  /// and members under the same ids and names (a finalized hierarchy is
+  /// immutable; this is how a tool extends one: copy, add, finalize
+  /// again). See Hierarchy::draft().
   static HierarchyBuilder fromHierarchy(const Hierarchy &Source);
 
   /// Creates class \p Name and returns a handle for attaching bases and

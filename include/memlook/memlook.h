@@ -58,13 +58,11 @@
 #include "memlook/core/UsingDeclarations.h"
 
 // Long-lived lookup service
-#include "memlook/service/EditScriptFuzz.h"
 #include "memlook/service/LookupService.h"
 #include "memlook/service/Snapshot.h"
 #include "memlook/service/Transaction.h"
 
 // Front end
-#include "memlook/frontend/FuzzHarness.h"
 #include "memlook/frontend/Lexer.h"
 #include "memlook/frontend/Parser.h"
 #include "memlook/frontend/SourcePrinter.h"

@@ -245,23 +245,12 @@ struct ServiceOptions {
   /// hardware concurrency, 1 = serial). Columns are independent, so
   /// builds scale across member names (ParallelTabulator).
   uint32_t WarmThreads = 0;
-  /// Rewarm incrementally on commit: re-tabulate only the edit's impact
-  /// set and structurally share every other column with the predecessor
-  /// epoch's table. Falls back to a full build when the predecessor is
-  /// cold/quarantined or the script removed a class.
-  bool IncrementalRewarm = true;
   /// Max (class, member) pairs the table-integrity audit samples per
   /// auditNow() (the full table is swept when it is smaller).
   uint64_t AuditSampleLimit = 256;
   /// Also run the engine-vs-engine DifferentialCheck in every audit.
   /// Exact but O(full table); disable for huge hierarchies.
   bool AuditEngineCheck = true;
-  /// Member columns restore() recomputes with a live kernel and
-  /// compares against the loaded table before trusting a snapshot
-  /// (0 disables the audit; the whole table is audited when it has
-  /// fewer columns). Structural validation already proved the table
-  /// *well-formed*; this samples that it is also *right*.
-  uint32_t RestoreAuditColumns = 8;
   /// Durable mode: path of the write-ahead log. When set, commit()
   /// appends the transaction to the log (and syncs it, see
   /// WalSyncEachAppend) *before* publishing, saveSnapshot() compacts
@@ -405,9 +394,10 @@ public:
   ///     epoch chain is quarantined after its clean prefix is
   ///     salvaged, and the report flags DataLoss;
   ///  2. **snapshot rung**: read + validate the file at \p Path (size
-  ///     caps, checksums, structural validation), then recompute
-  ///     RestoreAuditColumns member columns with a live kernel and
-  ///     require byte-for-byte agreement with the loaded table;
+  ///     caps, checksums, structural validation), then recompute 8
+  ///     evenly spread member columns (all of them when there are
+  ///     fewer) with a live kernel and require byte-for-byte agreement
+  ///     with the loaded table;
   ///  3. **rebuild rung**: on any snapshot failure, quarantine the file
   ///     (rename to \p Path + ".quarantined", preserving the evidence)
   ///     and tabulate from \p FallbackSource as epoch 1. Durable

@@ -257,8 +257,6 @@ struct ObservabilityOptions {
   uint32_t SamplePeriod = 256;
   /// Trace-ring capacity per shard (TraceRing::NumShards shards).
   uint32_t TraceShardCapacity = 256;
-  /// Anomaly records retained.
-  uint32_t AnomalyCapacity = 128;
   /// Anomaly token-bucket refill per second.
   uint32_t AnomalyRatePerSecond = 64;
   /// A sampled operation at or above this duration logs a SlowQuery

@@ -258,6 +258,12 @@ public:
   /// Row span the table was built over (the epoch's class count).
   uint32_t numClassesTabulated() const { return NumClasses; }
 
+  /// Slots in the flat symbol dispatch (columnIndexFor): the size of the
+  /// interner of the hierarchy the table was built over.
+  uint32_t memberIndexSize() const {
+    return static_cast<uint32_t>(MemberIndex.size());
+  }
+
   /// Test-and-demo hook: a copy of this table with the (\p Context,
   /// \p Member) answer replaced by a deliberately wrong one (the
   /// corruption the self-audit exists to catch). Returns nullptr when

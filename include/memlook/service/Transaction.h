@@ -11,10 +11,12 @@
 /// additions and removals by name - begun against a base epoch and
 /// applied atomically at commit():
 ///
-///   * the service replays the script onto a copy of the base epoch's
-///     hierarchy, enforces the construction-side ResourceBudget, and
-///     runs full validation (Hierarchy::validate semantics via
-///     finalize: cycles, duplicate bases, using-targets);
+///   * the service applies the script, op by op, to a draft of the base
+///     epoch's hierarchy (Hierarchy::draft: same class ids), resolving
+///     each name to its ClassId in the draft, enforces the
+///     construction-side ResourceBudget after every op, and finalizes
+///     the draft once at the end (cycles, duplicate bases,
+///     using-targets);
 ///   * any failure - an op referencing a name that does not exist, a
 ///     budget trip, a validation error, or a conflicting commit that
 ///     moved the epoch - rolls the whole transaction back: the prior
@@ -24,8 +26,8 @@
 ///     are unaffected until they re-pin.
 ///
 /// Recording ops by name (not ClassId) is what makes rollback trivial
-/// and replay-after-conflict possible: ids are per-epoch, names are
-/// stable across epochs.
+/// and replay-after-conflict possible: ids are per-epoch (RemoveClass
+/// shifts every later id down by one), names are stable across epochs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -147,11 +149,14 @@ private:
   std::vector<Op> Ops;
 };
 
-/// Replays \p Ops onto a copy of \p Base and returns the finalized
+/// Applies \p Ops to a draft of \p Base and returns the finalized
 /// result, or the Status explaining the first failure (unknown name,
-/// duplicate, budget trip, validation error). \p Base is never touched:
-/// this is the commit path's all-or-nothing core, exposed as a free
-/// function so the edit-script fuzzer can drive it directly.
+/// duplicate, budget trip, validation error). The result keeps Base's
+/// class ids except where a RemoveClass compacted them, and a given
+/// script always yields the same ids, base order and member order.
+/// \p Base is never touched: this is the commit path's all-or-nothing
+/// core, exposed as a free function so benchmarks, tests and the WAL
+/// fuzzer can drive it directly.
 Expected<Hierarchy> applyEditScript(const Hierarchy &Base,
                                     const std::vector<Transaction::Op> &Ops,
                                     const ResourceBudget &Budget);

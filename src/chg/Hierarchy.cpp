@@ -9,6 +9,7 @@
 
 #include "memlook/support/TopologicalSort.h"
 
+#include <algorithm>
 #include <string>
 
 using namespace memlook;
@@ -83,7 +84,11 @@ bool Hierarchy::addBase(ClassId Derived, ClassId Base, InheritanceKind Kind,
     }
 
   DerivedInfo.DirectBases.push_back(BaseSpecifier{Base, Kind, Access, Loc});
-  Classes[Base.index()].DirectDerived.push_back(Derived);
+  // Sorted insert: an edge added to an older class by an edit lands
+  // where a from-scratch build in creation order would have put it.
+  std::vector<ClassId> &Derivers = Classes[Base.index()].DirectDerived;
+  Derivers.insert(std::upper_bound(Derivers.begin(), Derivers.end(), Derived),
+                  Derived);
   ++NumEdges;
   return true;
 }
@@ -140,7 +145,101 @@ void Hierarchy::addUsingDeclaration(ClassId Class, ClassId From,
   ++NumMemberDecls;
 }
 
-bool Hierarchy::validate(DiagnosticEngine &Diags) const {
+bool Hierarchy::removeMember(ClassId Class, std::string_view Name) {
+  assert(!Finalized && "cannot remove members after finalize()");
+  std::vector<MemberDecl> &Members = Classes[Class.index()].Members;
+  Symbol Sym = Names.find(Name);
+  auto It = std::find_if(Members.begin(), Members.end(),
+                         [Sym](const MemberDecl &M) { return M.Name == Sym; });
+  if (It == Members.end())
+    return false;
+  Members.erase(It);
+  --NumMemberDecls;
+  return true;
+}
+
+bool Hierarchy::removeBase(ClassId Derived, ClassId Base) {
+  assert(!Finalized && "cannot remove edges after finalize()");
+  std::vector<BaseSpecifier> &Bases = Classes[Derived.index()].DirectBases;
+  auto It =
+      std::find_if(Bases.begin(), Bases.end(),
+                   [Base](const BaseSpecifier &S) { return S.Base == Base; });
+  if (It == Bases.end())
+    return false;
+  Bases.erase(It);
+  std::vector<ClassId> &Derivers = Classes[Base.index()].DirectDerived;
+  Derivers.erase(std::find(Derivers.begin(), Derivers.end(), Derived));
+  --NumEdges;
+  return true;
+}
+
+bool Hierarchy::removeClass(ClassId Class) {
+  assert(!Finalized && "cannot remove classes after finalize()");
+  const uint32_t Gone = Class.index();
+  // Nothing may be left pointing at the class: C++ has no way to
+  // un-inherit, and a dangling using-source would be meaningless.
+  if (!Classes[Gone].DirectDerived.empty())
+    return false;
+  for (uint32_t D = 0; D != numClasses(); ++D)
+    if (D != Gone)
+      for (const MemberDecl &M : Classes[D].Members)
+        if (M.UsingFrom == Class)
+          return false;
+
+  for (const BaseSpecifier &Spec : Classes[Gone].DirectBases) {
+    std::vector<ClassId> &Derivers = Classes[Spec.Base.index()].DirectDerived;
+    Derivers.erase(std::find(Derivers.begin(), Derivers.end(), Class));
+  }
+  NumEdges -= static_cast<uint32_t>(Classes[Gone].DirectBases.size());
+  NumMemberDecls -= static_cast<uint32_t>(Classes[Gone].Members.size());
+  ClassByName.erase(Classes[Gone].Name);
+  Classes.erase(Classes.begin() + Gone);
+
+  // Every later class moved down one slot.
+  auto Shift = [Gone](ClassId &Id) {
+    if (Id.isValid() && Id.index() > Gone)
+      Id = ClassId(Id.index() - 1);
+  };
+  for (ClassInfo &Info : Classes) {
+    for (BaseSpecifier &Spec : Info.DirectBases)
+      Shift(Spec.Base);
+    for (ClassId &Derived : Info.DirectDerived)
+      Shift(Derived);
+    for (MemberDecl &M : Info.Members)
+      Shift(M.UsingFrom);
+  }
+  for (auto &Entry : ClassByName)
+    Shift(Entry.second);
+  return true;
+}
+
+Hierarchy Hierarchy::draft() const {
+  Hierarchy Copy;
+  Copy.Classes = Classes;
+  Copy.NumEdges = NumEdges;
+  Copy.NumMemberDecls = NumMemberDecls;
+  Copy.ClassByName.reserve(Classes.size());
+
+  std::vector<Symbol> Remap(Names.size());
+  auto Reintern = [&](Symbol &Sym) {
+    Symbol &Mapped = Remap[Sym.index()];
+    if (!Mapped.isValid())
+      Mapped = Copy.Names.intern(Names.spelling(Sym));
+    Sym = Mapped;
+  };
+  for (uint32_t C = 0; C != numClasses(); ++C) {
+    Reintern(Copy.Classes[C].Name);
+    Copy.ClassByName.emplace(Copy.Classes[C].Name, ClassId(C));
+  }
+  for (ClassInfo &Info : Copy.Classes)
+    for (MemberDecl &M : Info.Members)
+      Reintern(M.Name);
+  return Copy;
+}
+
+bool Hierarchy::finalize(DiagnosticEngine &Diags) {
+  assert(!Finalized && "finalize() called twice");
+
   uint32_t N = numClasses();
   std::vector<std::vector<uint32_t>> Successors(N);
   for (uint32_t D = 0; D != N; ++D)
@@ -160,32 +259,35 @@ bool Hierarchy::validate(DiagnosticEngine &Diags) const {
     Ok = false;
   }
 
-  // Using-declaration targets must be (transitive) bases. The closures
-  // may not exist yet (and never will on a cyclic graph), so walk the
-  // base DAG directly per declaring class; the visited set keeps this
-  // linear and cycle-safe.
-  std::vector<uint8_t> Reach;
+  // A using-declaration must name a (transitive) base of its class
+  // ([namespace.udecl]). The check walks the base graph from each
+  // declaring class instead of reading the closures, so it also runs on
+  // a cyclic graph and one finalize() reports every problem; stamping
+  // visits with the walk's origin keeps each walk cycle-safe and linear
+  // in the class's up-closure.
+  std::vector<uint32_t> VisitedFrom;
+  std::vector<uint32_t> Stack;
   for (uint32_t D = 0; D != N; ++D) {
-    bool AnyUsing = false;
-    for (const MemberDecl &Member : Classes[D].Members)
-      AnyUsing |= Member.isUsingDeclaration();
-    if (!AnyUsing)
-      continue;
-
-    Reach.assign(N, 0);
-    std::vector<uint32_t> Stack{D};
-    while (!Stack.empty()) {
-      uint32_t Cur = Stack.back();
-      Stack.pop_back();
-      for (const BaseSpecifier &Spec : Classes[Cur].DirectBases)
-        if (!Reach[Spec.Base.index()]) {
-          Reach[Spec.Base.index()] = 1;
-          Stack.push_back(Spec.Base.index());
+    bool Walked = false;
+    for (const MemberDecl &Member : Classes[D].Members) {
+      if (!Member.isUsingDeclaration())
+        continue;
+      if (!Walked) {
+        if (VisitedFrom.empty())
+          VisitedFrom.assign(N, UINT32_MAX);
+        Stack.assign(1, D);
+        while (!Stack.empty()) {
+          uint32_t Cur = Stack.back();
+          Stack.pop_back();
+          for (const BaseSpecifier &Spec : Classes[Cur].DirectBases)
+            if (VisitedFrom[Spec.Base.index()] != D) {
+              VisitedFrom[Spec.Base.index()] = D;
+              Stack.push_back(Spec.Base.index());
+            }
         }
-    }
-
-    for (const MemberDecl &Member : Classes[D].Members)
-      if (Member.isUsingDeclaration() && !Reach[Member.UsingFrom.index()]) {
+        Walked = true;
+      }
+      if (VisitedFrom[Member.UsingFrom.index()] != D) {
         Diags.error(Member.Loc,
                     "'" + std::string(className(Member.UsingFrom)) +
                         "' in using-declaration is not a base class of '" +
@@ -193,30 +295,10 @@ bool Hierarchy::validate(DiagnosticEngine &Diags) const {
                     DiagCode::InvalidUsingTarget);
         Ok = false;
       }
+    }
   }
-  return Ok;
-}
-
-bool Hierarchy::finalize(DiagnosticEngine &Diags) {
-  assert(!Finalized && "finalize() called twice");
-
-  uint32_t N = numClasses();
-  std::vector<std::vector<uint32_t>> Successors(N);
-  for (uint32_t D = 0; D != N; ++D)
-    for (const BaseSpecifier &Spec : Classes[D].DirectBases)
-      Successors[Spec.Base.index()].push_back(D);
-
-  TopologicalSortResult Topo = topologicalSort(N, Successors);
-  if (!Topo.IsAcyclic) {
-    std::string Witness =
-        Topo.CycleWitness
-            ? std::string(className(ClassId(*Topo.CycleWitness)))
-            : std::string("<unknown>");
-    Diags.error("inheritance graph is cyclic (class '" + Witness +
-                    "' participates in a cycle)",
-                DiagCode::InheritanceCycle);
+  if (!Ok)
     return false;
-  }
 
   TopoOrder.reserve(N);
   for (uint32_t Idx : Topo.Order)
@@ -239,23 +321,6 @@ bool Hierarchy::finalize(DiagnosticEngine &Diags) {
         VirtualClosure.set(C.index(), Spec.Base.index());
     }
   }
-
-  // A using-declaration must name a (transitive) base of its class
-  // ([namespace.udecl]); this needs the closure just computed.
-  bool UsingOk = true;
-  for (uint32_t D = 0; D != N; ++D)
-    for (const MemberDecl &Member : Classes[D].Members)
-      if (Member.isUsingDeclaration() &&
-          !BasesClosure.test(D, Member.UsingFrom.index())) {
-        Diags.error(Member.Loc,
-                    "'" + std::string(className(Member.UsingFrom)) +
-                        "' in using-declaration is not a base class of '" +
-                        std::string(className(ClassId(D))) + "'",
-                    DiagCode::InvalidUsingTarget);
-        UsingOk = false;
-      }
-  if (!UsingOk)
-    return false;
 
   // Direct-edge attribute index for O(1) edgeKind / edgeAccess.
   for (uint32_t D = 0; D != N; ++D)

@@ -47,34 +47,8 @@ Status memlook::statusFromDiagnostics(const DiagnosticEngine &Diags) {
 }
 
 HierarchyBuilder HierarchyBuilder::fromHierarchy(const Hierarchy &Source) {
-  assert(Source.isFinalized() && "copy the finished article, not a draft");
   HierarchyBuilder Builder;
-  Hierarchy &H = Builder.H;
-
-  // Topological order guarantees bases exist before their derivers.
-  for (ClassId Old : Source.topologicalOrder()) {
-    const Hierarchy::ClassInfo &Info = Source.info(Old);
-    ClassId New = H.createClass(Source.className(Old), Info.Loc);
-    assert(New.isValid() && "source hierarchy had duplicate names?");
-
-    for (const BaseSpecifier &Spec : Info.DirectBases) {
-      ClassId NewBase = H.findClass(Source.className(Spec.Base));
-      assert(NewBase.isValid() && "base precedes deriver in topo order");
-      H.addBase(New, NewBase, Spec.Kind, Spec.Access, Spec.Loc);
-    }
-
-    for (const MemberDecl &Member : Info.Members) {
-      if (Member.isUsingDeclaration()) {
-        ClassId NewFrom = H.findClass(Source.className(Member.UsingFrom));
-        assert(NewFrom.isValid());
-        H.addUsingDeclaration(New, NewFrom, Source.spelling(Member.Name),
-                              Member.Access, Member.Loc);
-      } else {
-        H.addMember(New, Source.spelling(Member.Name), Member.IsStatic,
-                    Member.IsVirtual, Member.Access, Member.Loc);
-      }
-    }
-  }
+  Builder.H = Source.draft();
   return Builder;
 }
 

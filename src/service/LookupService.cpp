@@ -145,16 +145,17 @@ LookupService::LookupService(RestoreTag, uint64_t Epoch,
 
 namespace {
 
-/// The restore audit: recompute up to \p SampleColumns member columns
-/// with a live kernel (the same code path commit-time warms use) and
-/// require the loaded table's answers to agree row-for-row. Structural
-/// validation proved the table internally consistent; this proves a
-/// deterministic sample of it *correct* - the defense against a
-/// CRC-valid, well-formed file whose entries answer wrongly.
+/// The restore audit: recompute up to 8 member columns with a live
+/// kernel (the same code path commit-time warms use) and require the
+/// loaded table's answers to agree row-for-row. Structural validation
+/// proved the table internally consistent; this proves a deterministic
+/// sample of it *correct* - the defense against a CRC-valid,
+/// well-formed file whose entries answer wrongly.
 Status auditRestoredTable(const Hierarchy &H, const LookupTable &Table,
-                          uint32_t SampleColumns, uint64_t &ColumnsChecked) {
+                          uint64_t &ColumnsChecked) {
+  constexpr uint32_t SampleColumns = 8;
   uint32_t NumMembers = static_cast<uint32_t>(H.allMemberNames().size());
-  if (SampleColumns == 0 || NumMembers == 0)
+  if (NumMembers == 0)
     return Status::ok();
   uint32_t Sample = std::min(SampleColumns, NumMembers);
   // Deterministic evenly spread sample: restores are reproducible.
@@ -222,9 +223,8 @@ LookupService::restore(const std::string &Path, Hierarchy FallbackSource,
   if (!Loaded) {
     SnapStatus = Loaded.status();
   } else if (Loaded->Table) {
-    SnapStatus = auditRestoredTable(*Loaded->H, *Loaded->Table,
-                                    Options.RestoreAuditColumns,
-                                    R.AuditColumnsChecked);
+    SnapStatus =
+        auditRestoredTable(*Loaded->H, *Loaded->Table, R.AuditColumnsChecked);
   }
 
   std::unique_ptr<LookupService> Svc;
@@ -833,7 +833,7 @@ Status LookupService::commit(const Transaction &Txn) {
     // Fast path: the predecessor epoch is warm and trustworthy and the
     // script kept class ids stable, so the new table re-tabulates only
     // the edit's impact set and aliases every other column.
-    if (Opts.IncrementalRewarm && Base->warm()) {
+    if (Base->warm()) {
       ImpactSet Impact = computeImpactSet(*Base->H, *Next->H, Txn.ops());
       if (!Impact.FullRebuild) {
         Next->Table =

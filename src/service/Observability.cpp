@@ -300,7 +300,7 @@ ObservabilityCenter::ObservabilityCenter(const ObservabilityOptions &O)
                                            uint32_t>(O.SamplePeriod, 1))) -
                                            1),
       Ring(O.TraceShardCapacity),
-      Anomalies(O.AnomalyCapacity, O.AnomalyRatePerSecond) {}
+      Anomalies(/*Capacity=*/128, O.AnomalyRatePerSecond) {}
 
 void ObservabilityCenter::recordQuerySample(QueryPath Path, AnswerRung Rung,
                                             uint64_t T0, uint64_t Epoch,

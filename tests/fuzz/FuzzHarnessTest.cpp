@@ -15,7 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "memlook/frontend/FuzzHarness.h"
+#include "fuzz/FuzzHarness.h"
 
 #include <gtest/gtest.h>
 

@@ -20,11 +20,12 @@
 #include "memlook/chg/HierarchyBuilder.h"
 #include "memlook/core/DifferentialCheck.h"
 #include "memlook/core/DominanceLookupEngine.h"
-#include "memlook/service/EditScriptFuzz.h"
 #include "memlook/service/LookupService.h"
 #include "memlook/service/Snapshot.h"
 #include "memlook/service/Transaction.h"
 #include "memlook/workload/Generators.h"
+
+#include "fuzz/EditScriptFuzz.h"
 
 #include <gtest/gtest.h>
 

@@ -16,9 +16,9 @@
 
 #include "memlook/chg/HierarchyBuilder.h"
 #include "memlook/core/DifferentialCheck.h"
-#include "memlook/service/EditScriptFuzz.h"
 
 #include "TestUtil.h"
+#include "fuzz/EditScriptFuzz.h"
 
 #include <gtest/gtest.h>
 
@@ -360,4 +360,32 @@ TEST(LookupServiceTest, EditScriptCasesAreReproducible) {
     EXPECT_EQ(A.TxnsRejected, B.TxnsRejected) << "seed " << Seed;
     EXPECT_EQ(A.Mismatches, B.Mismatches) << "seed " << Seed;
   }
+}
+
+TEST(LookupServiceTest, SymbolSpaceStaysBoundedAcrossCommits) {
+  // Each commit adds a fresh member and removes the previous one, so the
+  // live names never grow. Every epoch is drafted from its predecessor
+  // with only the names still in use, so neither the interner nor the
+  // table's flat dispatch (sized by it) may grow either: a draft that
+  // carried dead names forward would add a slot per commit, for good.
+  const char *Classes[] = {"Base", "Left", "Right", "Join"};
+  LookupService Svc(diamond());
+  uint32_t Names = 0;
+  for (int K = 0; K != 1000; ++K) {
+    Transaction Txn = Svc.beginTxn();
+    Txn.addMember(Classes[K % 4], "fresh" + std::to_string(K));
+    if (K != 0)
+      Txn.removeMember(Classes[(K - 1) % 4], "fresh" + std::to_string(K - 1));
+    ASSERT_TRUE(Svc.commit(Txn).isOk()) << "commit " << K;
+
+    std::shared_ptr<const Snapshot> Snap = Svc.snapshot();
+    ASSERT_NE(Snap->Table, nullptr);
+    EXPECT_EQ(Snap->Table->memberIndexSize(), Snap->H->numInternedNames());
+    if (K == 1)
+      Names = Snap->H->numInternedNames();
+    if (K >= 1)
+      ASSERT_EQ(Snap->H->numInternedNames(), Names) << "commit " << K;
+  }
+  EXPECT_EQ(Svc.snapshot()->H->numMemberDecls(),
+            diamond().numMemberDecls() + 1);
 }

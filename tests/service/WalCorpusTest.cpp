@@ -23,34 +23,72 @@
 
 #include <cctype>
 #include <filesystem>
+#include <iterator>
 
 using namespace memlook;
 using namespace memlook::service;
 
 namespace {
 
+// A case names its file by enumerator, not by pointer: gtest prints a
+// parameter type it has no printer for as its raw bytes, that print is
+// part of each case's ctest name, and a string's address differs from
+// build to build and, under ASLR, from run to run.
+enum class WalFile : size_t {
+  Empty,
+  NoBaseRecord,
+  BadMagic,
+  BadBaseVersion,
+  FlippedPayloadByte,
+  DuplicatedEpoch,
+  EpochGap,
+  TornTail,
+  TruncatedMidHeader,
+  LengthLie,
+  JunkInterior,
+};
+
+constexpr const char *FileNames[] = {
+    "empty.wal",
+    "no_base_record.wal",
+    "bad_magic.wal",
+    "bad_base_version.wal",
+    "flipped_payload_byte.wal",
+    "duplicated_epoch.wal",
+    "epoch_gap.wal",
+    "torn_tail.wal",
+    "truncated_mid_header.wal",
+    "length_lie.wal",
+    "junk_interior.wal",
+};
+
 struct CorpusCase {
-  const char *FileName;
+  WalFile File;
   ErrorCode ExpectedCode;
   uint64_t ExpectedRecords;
   bool ExpectTornDrop;
+
+  const char *fileName() const {
+    return FileNames[static_cast<size_t>(File)];
+  }
 };
 
 // Every file in corpus/wal must appear here: the cross-check test below
 // refuses a new damaged log without a stated expectation.
 constexpr CorpusCase Cases[] = {
-    {"empty.wal", ErrorCode::Ok, 0, false},
-    {"no_base_record.wal", ErrorCode::WalCorrupt, 0, false},
-    {"bad_magic.wal", ErrorCode::WalCorrupt, 0, false},
-    {"bad_base_version.wal", ErrorCode::WalCorrupt, 0, false},
-    {"flipped_payload_byte.wal", ErrorCode::WalCorrupt, 1, false},
-    {"duplicated_epoch.wal", ErrorCode::WalEpochSkew, 2, false},
-    {"epoch_gap.wal", ErrorCode::WalEpochSkew, 1, false},
-    {"torn_tail.wal", ErrorCode::Ok, 2, true},
-    {"truncated_mid_header.wal", ErrorCode::Ok, 2, true},
-    {"length_lie.wal", ErrorCode::WalCorrupt, 2, false},
-    {"junk_interior.wal", ErrorCode::WalCorrupt, 3, false},
+    {WalFile::Empty, ErrorCode::Ok, 0, false},
+    {WalFile::NoBaseRecord, ErrorCode::WalCorrupt, 0, false},
+    {WalFile::BadMagic, ErrorCode::WalCorrupt, 0, false},
+    {WalFile::BadBaseVersion, ErrorCode::WalCorrupt, 0, false},
+    {WalFile::FlippedPayloadByte, ErrorCode::WalCorrupt, 1, false},
+    {WalFile::DuplicatedEpoch, ErrorCode::WalEpochSkew, 2, false},
+    {WalFile::EpochGap, ErrorCode::WalEpochSkew, 1, false},
+    {WalFile::TornTail, ErrorCode::Ok, 2, true},
+    {WalFile::TruncatedMidHeader, ErrorCode::Ok, 2, true},
+    {WalFile::LengthLie, ErrorCode::WalCorrupt, 2, false},
+    {WalFile::JunkInterior, ErrorCode::WalCorrupt, 3, false},
 };
+static_assert(std::size(Cases) == std::size(FileNames));
 
 std::filesystem::path walDir() {
   return std::filesystem::path(MEMLOOK_CORPUS_DIR) / "wal";
@@ -62,23 +100,23 @@ class WalCorpusTest : public ::testing::TestWithParam<CorpusCase> {};
 
 TEST_P(WalCorpusTest, SalvageMatchesTheDoctrine) {
   const CorpusCase &Case = GetParam();
-  std::filesystem::path Path = walDir() / Case.FileName;
+  std::filesystem::path Path = walDir() / Case.fileName();
   ASSERT_TRUE(std::filesystem::exists(Path))
       << Path << " missing - regenerate with make_wal_corpus";
 
   WalSalvage S = WriteAheadLog::replayFile(Path.string());
   EXPECT_EQ(S.Error.code(), Case.ExpectedCode)
-      << Case.FileName << ": salvage stopped with '" << S.Error.toString()
+      << Case.fileName() << ": salvage stopped with '" << S.Error.toString()
       << "', expected " << errorCodeLabel(Case.ExpectedCode);
-  EXPECT_EQ(S.Records.size(), Case.ExpectedRecords) << Case.FileName;
-  EXPECT_EQ(S.TornBytesDropped != 0, Case.ExpectTornDrop) << Case.FileName;
+  EXPECT_EQ(S.Records.size(), Case.ExpectedRecords) << Case.fileName();
+  EXPECT_EQ(S.TornBytesDropped != 0, Case.ExpectTornDrop) << Case.fileName();
 
   // The byte accounting closes on clean scans: every byte is either
   // cleanly framed or accounted torn.
   if (S.Error.isOk()) {
     EXPECT_EQ(S.CleanBytes + S.TornBytesDropped,
               std::filesystem::file_size(Path))
-        << Case.FileName;
+        << Case.fileName();
   }
 }
 
@@ -91,7 +129,7 @@ TEST(WalCorpusTest, EveryCorpusFileHasAnExpectation) {
     std::string Name = Entry.path().filename().string();
     bool Known = false;
     for (const CorpusCase &Case : Cases)
-      Known |= Name == Case.FileName;
+      Known |= Name == Case.fileName();
     EXPECT_TRUE(Known) << Name << " has no entry in the expectation table";
   }
   EXPECT_EQ(FilesSeen, sizeof(Cases) / sizeof(Cases[0]));
@@ -100,7 +138,7 @@ TEST(WalCorpusTest, EveryCorpusFileHasAnExpectation) {
 INSTANTIATE_TEST_SUITE_P(
     Files, WalCorpusTest, ::testing::ValuesIn(Cases),
     [](const ::testing::TestParamInfo<CorpusCase> &Info) {
-      std::string Name = Info.param.FileName;
+      std::string Name = Info.param.fileName();
       for (char &C : Name)
         if (!std::isalnum(static_cast<unsigned char>(C)))
           C = '_';
