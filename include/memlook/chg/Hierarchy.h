@@ -27,6 +27,14 @@
 /// removeClass) and is then finalized on its own. The service's edit
 /// scripts and HierarchyBuilder::fromHierarchy both work this way.
 ///
+/// What finalize() derives from the classes and edges alone - the
+/// topological order, both closures and the edge-attribute index - lives
+/// in one immutable, reference-counted block. A draft shares its base's
+/// block; createClass, addBase, removeBase and removeClass drop it, and
+/// finalize() rebuilds it only when it was dropped. So a member-only
+/// edit (the service's usual commit) finalizes without recomputing or
+/// copying the O(|N|^2) closures, and consecutive epochs share one copy.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MEMLOOK_CHG_HIERARCHY_H
@@ -37,6 +45,7 @@
 #include "memlook/support/StringInterner.h"
 #include "memlook/support/StrongId.h"
 
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -171,6 +180,8 @@ public:
   /// order, then member names in declaration order): a name that was
   /// removed, or only ever queried, does not carry over, so a chain of
   /// drafts keeps the symbol space the size of the live hierarchy.
+  /// The draft shares this hierarchy's finalized structure until a
+  /// structural edit (createClass, addBase, removeBase, removeClass).
   Hierarchy draft() const;
 
   /// Non-mutating validation of the graph as described so far: reports
@@ -185,8 +196,10 @@ public:
   }
 
   /// Validates the graph and computes the topological order and the base /
-  /// virtual-base closures. Returns false (and reports every cycle and
-  /// bad using-target found) if the graph is ill-formed. Construction
+  /// virtual-base closures - or, on a draft whose classes and edges are
+  /// unchanged, reuses its base's. Always re-checks the using-targets and
+  /// recollects allMemberNames(). Returns false (and reports every cycle
+  /// and bad using-target found) if the graph is ill-formed. Construction
   /// calls are invalid after a successful finalize().
   bool finalize(DiagnosticEngine &Diags);
 
@@ -253,34 +266,34 @@ public:
   /// classes. Requires finalize().
   const std::vector<ClassId> &topologicalOrder() const {
     assert(Finalized && "topological order requires finalize()");
-    return TopoOrder;
+    return Graph->TopoOrder;
   }
 
   /// True iff \p Base is a (transitive, proper) base class of \p Derived:
   /// a nonempty CHG path Base -> ... -> Derived exists.
   bool isBaseOf(ClassId Base, ClassId Derived) const {
     assert(Finalized && "closures require finalize()");
-    return BasesClosure.test(Derived.index(), Base.index());
+    return closureBit(BasesWords, Derived, Base);
   }
 
   /// True iff \p Base is a virtual base of \p Derived: some CHG path from
   /// Base to Derived starts with a virtual edge (Section 2).
   bool isVirtualBaseOf(ClassId Base, ClassId Derived) const {
     assert(Finalized && "closures require finalize()");
-    return VirtualClosure.test(Derived.index(), Base.index());
+    return closureBit(VirtualWords, Derived, Base);
   }
 
   /// The set of (transitive) bases of \p Derived as a bit-row view
   /// indexed by class index (valid while this hierarchy lives).
   BitRowView basesOf(ClassId Derived) const {
     assert(Finalized && "closures require finalize()");
-    return BasesClosure.row(Derived.index());
+    return closureRow(BasesWords, Derived);
   }
 
   /// The set of virtual bases of \p Derived as a bit-row view.
   BitRowView virtualBasesOf(ClassId Derived) const {
     assert(Finalized && "closures require finalize()");
-    return VirtualClosure.row(Derived.index());
+    return closureRow(VirtualWords, Derived);
   }
 
   /// The inheritance kind of the direct edge Base -> Derived, or nullopt
@@ -294,21 +307,58 @@ public:
   uint32_t numMemberDecls() const { return NumMemberDecls; }
 
 private:
+  /// Everything finalize() derives from the classes and edges alone.
+  /// Immutable once built; shared by every draft and epoch whose classes
+  /// and edges are unchanged.
+  struct Structure {
+    std::vector<ClassId> TopoOrder;
+    BitMatrix BasesClosure;   // row = derived, col = base
+    BitMatrix VirtualClosure; // row = derived, col = virtual base
+    // Direct-edge attribute index keyed by (base, derived) packed into
+    // one 64-bit word, for O(1) edgeKind/edgeAccess.
+    std::unordered_map<uint64_t, std::pair<InheritanceKind, AccessSpec>>
+        EdgeIndex;
+  };
+
   StringInterner Names;
   std::vector<ClassInfo> Classes;
   std::unordered_map<Symbol, ClassId> ClassByName;
 
-  // Direct-edge attribute index keyed by (base, derived) packed into one
-  // 64-bit word; built during finalize for O(1) edgeKind/edgeAccess.
-  std::unordered_map<uint64_t, std::pair<InheritanceKind, AccessSpec>> EdgeIndex;
+  /// Null until finalize() builds it, and again after a structural edit.
+  std::shared_ptr<const Structure> Graph;
+  // The closures' addressing, copied out of Graph so the Lemma 4 test
+  // (bounds asserts included) costs no more than a closure held by value.
+  const uint64_t *BasesWords = nullptr;
+  const uint64_t *VirtualWords = nullptr;
+  size_t RowWords = 0;
+  size_t ClosureDim = 0; // rows = columns = classes
 
-  std::vector<ClassId> TopoOrder;
   std::vector<Symbol> MemberNames;
-  BitMatrix BasesClosure;   // row = derived, col = base
-  BitMatrix VirtualClosure; // row = derived, col = virtual base
   uint32_t NumEdges = 0;
   uint32_t NumMemberDecls = 0;
   bool Finalized = false;
+
+  bool closureBit(const uint64_t *Words, ClassId Row, ClassId Col) const {
+    assert(Row.index() < ClosureDim && Col.index() < ClosureDim &&
+           "bad class id");
+    return (Words[Row.index() * RowWords + Col.index() / 64] >>
+            (Col.index() % 64)) &
+           1;
+  }
+
+  BitRowView closureRow(const uint64_t *Words, ClassId Row) const {
+    assert(Row.index() < ClosureDim && "bad class id");
+    return BitRowView(Words + Row.index() * RowWords, ClosureDim);
+  }
+
+  /// Sorts the classes topologically and computes both closures and the
+  /// edge index; null, after reporting the cycle, on a cyclic graph.
+  std::shared_ptr<const Structure>
+  deriveStructure(DiagnosticEngine &Diags) const;
+
+  /// Reports every using-declaration whose source is not a (transitive)
+  /// base of its class; true iff there is none.
+  bool checkUsingTargets(DiagnosticEngine &Diags) const;
 
   static uint64_t edgeKey(ClassId Base, ClassId Derived) {
     return (static_cast<uint64_t>(Base.index()) << 32) | Derived.index();

@@ -41,6 +41,7 @@ ClassId Hierarchy::createClass(std::string_view Name, SourceLoc Loc,
   ClassId Id(static_cast<uint32_t>(Classes.size()));
   Classes.push_back(ClassInfo{Sym, Loc, {}, {}, {}});
   ClassByName.emplace(Sym, Id);
+  Graph.reset();
   return Id;
 }
 
@@ -90,6 +91,7 @@ bool Hierarchy::addBase(ClassId Derived, ClassId Base, InheritanceKind Kind,
   Derivers.insert(std::upper_bound(Derivers.begin(), Derivers.end(), Derived),
                   Derived);
   ++NumEdges;
+  Graph.reset();
   return true;
 }
 
@@ -170,6 +172,7 @@ bool Hierarchy::removeBase(ClassId Derived, ClassId Base) {
   std::vector<ClassId> &Derivers = Classes[Base.index()].DirectDerived;
   Derivers.erase(std::find(Derivers.begin(), Derivers.end(), Derived));
   --NumEdges;
+  Graph.reset();
   return true;
 }
 
@@ -210,12 +213,14 @@ bool Hierarchy::removeClass(ClassId Class) {
   }
   for (auto &Entry : ClassByName)
     Shift(Entry.second);
+  Graph.reset();
   return true;
 }
 
 Hierarchy Hierarchy::draft() const {
   Hierarchy Copy;
   Copy.Classes = Classes;
+  Copy.Graph = Graph;
   Copy.NumEdges = NumEdges;
   Copy.NumMemberDecls = NumMemberDecls;
   Copy.ClassByName.reserve(Classes.size());
@@ -237,34 +242,15 @@ Hierarchy Hierarchy::draft() const {
   return Copy;
 }
 
-bool Hierarchy::finalize(DiagnosticEngine &Diags) {
-  assert(!Finalized && "finalize() called twice");
-
-  uint32_t N = numClasses();
-  std::vector<std::vector<uint32_t>> Successors(N);
-  for (uint32_t D = 0; D != N; ++D)
-    for (const BaseSpecifier &Spec : Classes[D].DirectBases)
-      Successors[Spec.Base.index()].push_back(D);
-
-  bool Ok = true;
-  TopologicalSortResult Topo = topologicalSort(N, Successors);
-  if (!Topo.IsAcyclic) {
-    std::string Witness =
-        Topo.CycleWitness
-            ? std::string(className(ClassId(*Topo.CycleWitness)))
-            : std::string("<unknown>");
-    Diags.error("inheritance graph is cyclic (class '" + Witness +
-                    "' participates in a cycle)",
-                DiagCode::InheritanceCycle);
-    Ok = false;
-  }
-
+bool Hierarchy::checkUsingTargets(DiagnosticEngine &Diags) const {
   // A using-declaration must name a (transitive) base of its class
   // ([namespace.udecl]). The check walks the base graph from each
   // declaring class instead of reading the closures, so it also runs on
   // a cyclic graph and one finalize() reports every problem; stamping
   // visits with the walk's origin keeps each walk cycle-safe and linear
   // in the class's up-closure.
+  uint32_t N = numClasses();
+  bool Ok = true;
   std::vector<uint32_t> VisitedFrom;
   std::vector<uint32_t> Stack;
   for (uint32_t D = 0; D != N; ++D) {
@@ -297,12 +283,33 @@ bool Hierarchy::finalize(DiagnosticEngine &Diags) {
       }
     }
   }
-  if (!Ok)
-    return false;
+  return Ok;
+}
 
-  TopoOrder.reserve(N);
+std::shared_ptr<const Hierarchy::Structure>
+Hierarchy::deriveStructure(DiagnosticEngine &Diags) const {
+  uint32_t N = numClasses();
+  std::vector<std::vector<uint32_t>> Successors(N);
+  for (uint32_t D = 0; D != N; ++D)
+    for (const BaseSpecifier &Spec : Classes[D].DirectBases)
+      Successors[Spec.Base.index()].push_back(D);
+
+  TopologicalSortResult Topo = topologicalSort(N, Successors);
+  if (!Topo.IsAcyclic) {
+    std::string Witness =
+        Topo.CycleWitness
+            ? std::string(className(ClassId(*Topo.CycleWitness)))
+            : std::string("<unknown>");
+    Diags.error("inheritance graph is cyclic (class '" + Witness +
+                    "' participates in a cycle)",
+                DiagCode::InheritanceCycle);
+    return nullptr;
+  }
+
+  auto Built = std::make_shared<Structure>();
+  Built->TopoOrder.reserve(N);
   for (uint32_t Idx : Topo.Order)
-    TopoOrder.push_back(ClassId(Idx));
+    Built->TopoOrder.push_back(ClassId(Idx));
 
   // Transitive closures, bases before derived:
   //   Bases[D]   = union over direct bases B of D of Bases[B] + {B}
@@ -310,23 +317,42 @@ bool Hierarchy::finalize(DiagnosticEngine &Diags) {
   //                  Virtual[B] + ({B} if the edge B->D is virtual)
   // The second line is the paper's Section 2 definition: X is a virtual
   // base of Y iff some path X -> ... -> Y *starts* with a virtual edge.
-  BasesClosure = BitMatrix(N, N);
-  VirtualClosure = BitMatrix(N, N);
-  for (ClassId C : TopoOrder) {
+  BitMatrix &Bases = Built->BasesClosure = BitMatrix(N, N);
+  BitMatrix &Virtual = Built->VirtualClosure = BitMatrix(N, N);
+  for (ClassId C : Built->TopoOrder) {
     for (const BaseSpecifier &Spec : Classes[C.index()].DirectBases) {
-      BasesClosure.unionRows(C.index(), Spec.Base.index());
-      BasesClosure.set(C.index(), Spec.Base.index());
-      VirtualClosure.unionRows(C.index(), Spec.Base.index());
+      Bases.unionRows(C.index(), Spec.Base.index());
+      Bases.set(C.index(), Spec.Base.index());
+      Virtual.unionRows(C.index(), Spec.Base.index());
       if (Spec.Kind == InheritanceKind::Virtual)
-        VirtualClosure.set(C.index(), Spec.Base.index());
+        Virtual.set(C.index(), Spec.Base.index());
     }
   }
 
-  // Direct-edge attribute index for O(1) edgeKind / edgeAccess.
   for (uint32_t D = 0; D != N; ++D)
     for (const BaseSpecifier &Spec : Classes[D].DirectBases)
-      EdgeIndex.emplace(edgeKey(Spec.Base, ClassId(D)),
-                        std::make_pair(Spec.Kind, Spec.Access));
+      Built->EdgeIndex.emplace(edgeKey(Spec.Base, ClassId(D)),
+                               std::make_pair(Spec.Kind, Spec.Access));
+  return Built;
+}
+
+bool Hierarchy::finalize(DiagnosticEngine &Diags) {
+  assert(!Finalized && "finalize() called twice");
+
+  // A draft whose classes and edges are its base's still holds the
+  // base's block, and that graph was acyclic; the members may have
+  // changed, so the using-targets are always checked.
+  std::shared_ptr<const Structure> Built =
+      Graph ? Graph : deriveStructure(Diags);
+  bool UsingTargetsOk = checkUsingTargets(Diags);
+  if (!Built || !UsingTargetsOk)
+    return false;
+
+  Graph = std::move(Built);
+  BasesWords = Graph->BasesClosure.data();
+  VirtualWords = Graph->VirtualClosure.data();
+  RowWords = Graph->BasesClosure.rowStride();
+  ClosureDim = numClasses();
 
   // Collect the program's distinct member names |M| in first-declaration
   // order (deterministic: class creation order, then declaration order).
@@ -363,8 +389,8 @@ const MemberDecl *Hierarchy::declaredMember(ClassId Class, Symbol Name) const {
 std::optional<InheritanceKind> Hierarchy::edgeKind(ClassId Base,
                                                    ClassId Derived) const {
   if (Finalized) {
-    auto It = EdgeIndex.find(edgeKey(Base, Derived));
-    if (It == EdgeIndex.end())
+    auto It = Graph->EdgeIndex.find(edgeKey(Base, Derived));
+    if (It == Graph->EdgeIndex.end())
       return std::nullopt;
     return It->second.first;
   }
@@ -377,8 +403,8 @@ std::optional<InheritanceKind> Hierarchy::edgeKind(ClassId Base,
 std::optional<AccessSpec> Hierarchy::edgeAccess(ClassId Base,
                                                 ClassId Derived) const {
   if (Finalized) {
-    auto It = EdgeIndex.find(edgeKey(Base, Derived));
-    if (It == EdgeIndex.end())
+    auto It = Graph->EdgeIndex.find(edgeKey(Base, Derived));
+    if (It == Graph->EdgeIndex.end())
       return std::nullopt;
     return It->second.second;
   }

@@ -8,7 +8,7 @@
 /// \file
 /// The paper's example hierarchies (Figures 1, 2, 3, and 9), shared by
 /// the unit, property, and reproduction tests, plus small comparison
-/// helpers.
+/// helpers and brute-force closure oracles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,6 +114,91 @@ inline std::string comparisonKey(const Hierarchy &H, const LookupResult &R) {
     Out += ':';
     Out += formatSubobjectKey(H, *R.Subobject);
   }
+  return Out;
+}
+
+/// Literal reachability: is \p From a proper base of \p To? A DFS over
+/// the direct-derived lists that never reads the closures.
+inline bool isBaseOfBruteForce(const Hierarchy &H, ClassId From, ClassId To) {
+  if (From == To)
+    return false; // base-of is proper
+  std::vector<ClassId> Stack{From};
+  std::vector<bool> Seen(H.numClasses(), false);
+  Seen[From.index()] = true;
+  while (!Stack.empty()) {
+    ClassId Cur = Stack.back();
+    Stack.pop_back();
+    for (ClassId Derived : H.info(Cur).DirectDerived) {
+      if (Derived == To)
+        return true;
+      if (!Seen[Derived.index()]) {
+        Seen[Derived.index()] = true;
+        Stack.push_back(Derived);
+      }
+    }
+  }
+  return false;
+}
+
+/// Literal Section 2 virtual-base test: enumerate the paths
+/// \p From -> ... -> \p To and look for one whose first edge is virtual.
+inline bool isVirtualBaseOfBruteForce(const Hierarchy &H, ClassId From,
+                                      ClassId To) {
+  bool Found = false;
+  enumeratePaths(H, From, To, [&](const Path &P) {
+    if (Found || P.length() < 2)
+      return;
+    auto Kind = H.edgeKind(P.Nodes[0], P.Nodes[1]);
+    if (Kind && *Kind == InheritanceKind::Virtual)
+      Found = true;
+  });
+  return Found;
+}
+
+/// Every id-level fact of the finalized \p H, rendered by name: per
+/// class its bases (kind, access), derived classes, members (flags,
+/// using-source), base and virtual-base closure rows; then the
+/// topological order, allMemberNames() and the counters. Two hierarchies
+/// with equal renderings answer every query the same way.
+inline std::vector<std::string> describeHierarchy(const Hierarchy &H) {
+  std::vector<std::string> Out;
+  for (uint32_t I = 0; I != H.numClasses(); ++I) {
+    const Hierarchy::ClassInfo &Info = H.info(ClassId(I));
+    std::string Line =
+        std::to_string(I) + " " + std::string(H.className(ClassId(I))) + " :";
+    for (const BaseSpecifier &B : Info.DirectBases)
+      Line += " " + std::to_string(B.Base.index()) +
+              (B.Kind == InheritanceKind::Virtual ? "v" : "") +
+              accessSpelling(B.Access);
+    Line += " <-";
+    for (ClassId D : Info.DirectDerived)
+      Line += " " + std::to_string(D.index());
+    Line += " {";
+    for (const MemberDecl &M : Info.Members)
+      Line += " " + std::string(H.spelling(M.Name)) +
+              (M.IsStatic ? "/s" : "") + (M.IsVirtual ? "/v" : "") + "/" +
+              accessSpelling(M.Access) +
+              (M.isUsingDeclaration()
+                   ? "/using" + std::to_string(M.UsingFrom.index())
+                   : "");
+    Line += " } bases";
+    H.basesOf(ClassId(I)).forEachSetBit(
+        [&](size_t B) { Line += " " + std::to_string(B); });
+    Line += " virtual";
+    H.virtualBasesOf(ClassId(I)).forEachSetBit(
+        [&](size_t B) { Line += " " + std::to_string(B); });
+    Out.push_back(Line);
+  }
+  std::string Topo = "topo:";
+  for (ClassId C : H.topologicalOrder())
+    Topo += " " + std::to_string(C.index());
+  Out.push_back(Topo);
+  std::string Names = "names:";
+  for (Symbol S : H.allMemberNames())
+    Names += " " + std::string(H.spelling(S));
+  Out.push_back(Names);
+  Out.push_back("edges " + std::to_string(H.numEdges()) + " decls " +
+                std::to_string(H.numMemberDecls()));
   return Out;
 }
 

@@ -14,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "memlook/chg/Path.h"
 #include "memlook/workload/Generators.h"
 
 #include "TestUtil.h"
@@ -25,42 +24,6 @@ using namespace memlook;
 using namespace memlook::testutil;
 
 namespace {
-
-/// Literal reachability: DFS over direct-base lists, no closures.
-bool reachableBruteForce(const Hierarchy &H, ClassId From, ClassId To) {
-  if (From == To)
-    return false; // base-of is proper
-  std::vector<ClassId> Stack{From};
-  std::vector<bool> Seen(H.numClasses(), false);
-  Seen[From.index()] = true;
-  while (!Stack.empty()) {
-    ClassId Cur = Stack.back();
-    Stack.pop_back();
-    for (ClassId Derived : H.info(Cur).DirectDerived) {
-      if (Derived == To)
-        return true;
-      if (!Seen[Derived.index()]) {
-        Seen[Derived.index()] = true;
-        Stack.push_back(Derived);
-      }
-    }
-  }
-  return false;
-}
-
-/// Literal Section 2 virtual-base test: enumerate paths From -> To and
-/// look for one whose first edge is virtual.
-bool virtualBaseBruteForce(const Hierarchy &H, ClassId From, ClassId To) {
-  bool Found = false;
-  enumeratePaths(H, From, To, [&](const Path &P) {
-    if (Found || P.length() < 2)
-      return;
-    auto Kind = H.edgeKind(P.Nodes[0], P.Nodes[1]);
-    if (Kind && *Kind == InheritanceKind::Virtual)
-      Found = true;
-  });
-  return Found;
-}
 
 class ClosureBruteForceTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -75,7 +38,7 @@ TEST_P(ClosureBruteForceTest, BaseClosureMatchesReachability) {
   for (uint32_t A = 0; A != W.H.numClasses(); ++A)
     for (uint32_t B = 0; B != W.H.numClasses(); ++B)
       EXPECT_EQ(W.H.isBaseOf(ClassId(A), ClassId(B)),
-                reachableBruteForce(W.H, ClassId(A), ClassId(B)))
+                isBaseOfBruteForce(W.H, ClassId(A), ClassId(B)))
           << W.H.className(ClassId(A)) << " vs "
           << W.H.className(ClassId(B)) << " seed " << GetParam();
 }
@@ -89,7 +52,7 @@ TEST_P(ClosureBruteForceTest, VirtualClosureMatchesPathEnumeration) {
   for (uint32_t A = 0; A != W.H.numClasses(); ++A)
     for (uint32_t B = 0; B != W.H.numClasses(); ++B)
       EXPECT_EQ(W.H.isVirtualBaseOf(ClassId(A), ClassId(B)),
-                virtualBaseBruteForce(W.H, ClassId(A), ClassId(B)))
+                isVirtualBaseOfBruteForce(W.H, ClassId(A), ClassId(B)))
           << W.H.className(ClassId(A)) << " vs "
           << W.H.className(ClassId(B)) << " seed " << GetParam();
 }

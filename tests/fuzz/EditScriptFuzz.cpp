@@ -14,6 +14,9 @@
 #include "memlook/support/Rng.h"
 #include "memlook/workload/Generators.h"
 
+#include "TestUtil.h"
+
+#include <algorithm>
 #include <map>
 
 using namespace memlook;
@@ -121,6 +124,37 @@ std::map<std::string, std::string> renderAllAnswers(const LookupService &Svc,
   return Out;
 }
 
+/// Compares every (class, member) entry of \p Snap's table with a
+/// serial from-scratch LookupTable::build over its hierarchy, appending
+/// a line tagged \p Tag per disagreement (up to 16 in all). Returns the
+/// pairs compared; a cold snapshot has no table and compares none.
+uint64_t compareTableWithScratch(const Snapshot &Snap, const std::string &Tag,
+                                 std::vector<std::string> &Mismatches) {
+  if (!Snap.Table)
+    return 0;
+  const Hierarchy &H = *Snap.H;
+  auto Scratch = LookupTable::build(H, Deadline::never(), /*Threads=*/1);
+  uint64_t Pairs = 0;
+  for (uint32_t Idx = 0; Idx != H.numClasses() && Mismatches.size() < 16;
+       ++Idx) {
+    for (Symbol M : H.allMemberNames()) {
+      std::string Rewarmed =
+          renderLookupForComparison(H, Snap.Table->find(H, ClassId(Idx), M));
+      std::string FromScratch =
+          renderLookupForComparison(H, Scratch->find(H, ClassId(Idx), M));
+      ++Pairs;
+      if (Rewarmed != FromScratch)
+        Mismatches.push_back(Tag + " rewarm: " +
+                             std::string(H.className(ClassId(Idx))) + "::" +
+                             std::string(H.spelling(M)) +
+                             ": rewarmed table says '" + Rewarmed +
+                             "' but a from-scratch build says '" +
+                             FromScratch + "'");
+    }
+  }
+  return Pairs;
+}
+
 } // namespace
 
 EditScriptCaseResult
@@ -189,29 +223,8 @@ memlook::service::runEditScriptCase(uint64_t Seed,
       // sharing columns with the predecessor epoch, built in parallel -
       // must be entry-for-entry identical to a serial from-scratch
       // build over the same hierarchy.
-      std::shared_ptr<const Snapshot> Now = Svc.snapshot();
-      if (Now->Table) {
-        auto Scratch =
-            LookupTable::build(*Now->H, Deadline::never(), /*Threads=*/1);
-        const Hierarchy &NH = *Now->H;
-        for (uint32_t Idx = 0;
-             Idx != NH.numClasses() && Result.Mismatches.size() < 16; ++Idx) {
-          for (Symbol M : NH.allMemberNames()) {
-            std::string Rewarmed = renderLookupForComparison(
-                NH, Now->Table->find(NH, ClassId(Idx), M));
-            std::string FromScratch = renderLookupForComparison(
-                NH, Scratch->find(NH, ClassId(Idx), M));
-            ++Result.PairsChecked;
-            if (Rewarmed != FromScratch)
-              Result.Mismatches.push_back(
-                  "txn " + std::to_string(TxnIdx) + " rewarm: " +
-                  std::string(NH.className(ClassId(Idx))) + "::" +
-                  std::string(NH.spelling(M)) + ": rewarmed table says '" +
-                  Rewarmed + "' but a from-scratch build says '" +
-                  FromScratch + "'");
-          }
-        }
-      }
+      Result.PairsChecked += compareTableWithScratch(
+          *Svc.snapshot(), "txn " + std::to_string(TxnIdx), Result.Mismatches);
     } else {
       ++Result.TxnsRejected;
       // Oracle 2: rollback restores answers. The snapshot pointer must
@@ -280,4 +293,269 @@ memlook::service::runEditScriptCampaign(uint64_t FirstSeed, uint64_t NumCases,
       Report.Failures.push_back(std::move(Case));
   }
   return Report;
+}
+
+namespace {
+
+/// The removal campaign's model of a hierarchy: its description by name,
+/// which is all a from-scratch HierarchyBuilder build is given.
+struct ModelBase {
+  std::string Name;
+  InheritanceKind Kind;
+  AccessSpec Access;
+};
+
+struct ModelMember {
+  std::string Name;
+  bool IsStatic;
+  bool IsVirtual;
+  AccessSpec Access;
+  std::string UsingFrom; ///< empty unless a using-declaration
+};
+
+struct ModelClass {
+  std::string Name;
+  std::vector<ModelBase> Bases;
+  std::vector<ModelMember> Members;
+};
+
+using Model = std::vector<ModelClass>;
+
+Model modelOf(const Hierarchy &H) {
+  Model M;
+  for (uint32_t Idx = 0; Idx != H.numClasses(); ++Idx) {
+    const Hierarchy::ClassInfo &Info = H.info(ClassId(Idx));
+    ModelClass &C = M.emplace_back();
+    C.Name = std::string(H.className(ClassId(Idx)));
+    for (const BaseSpecifier &Spec : Info.DirectBases)
+      C.Bases.push_back(
+          {std::string(H.className(Spec.Base)), Spec.Kind, Spec.Access});
+    for (const MemberDecl &Decl : Info.Members)
+      C.Members.push_back(
+          {std::string(H.spelling(Decl.Name)), Decl.IsStatic, Decl.IsVirtual,
+           Decl.Access,
+           Decl.isUsingDeclaration() ? std::string(H.className(Decl.UsingFrom))
+                                     : std::string()});
+  }
+  return M;
+}
+
+Expected<Hierarchy> buildModel(const Model &M) {
+  HierarchyBuilder B;
+  for (const ModelClass &C : M)
+    B.addClass(C.Name);
+  for (const ModelClass &C : M) {
+    HierarchyBuilder::ClassHandle Handle = B.getClass(C.Name);
+    for (const ModelBase &Base : C.Bases) {
+      if (Base.Kind == InheritanceKind::Virtual)
+        Handle.withVirtualBase(Base.Name, Base.Access);
+      else
+        Handle.withBase(Base.Name, Base.Access);
+    }
+    for (const ModelMember &Member : C.Members) {
+      if (!Member.UsingFrom.empty())
+        Handle.withUsing(Member.UsingFrom, Member.Name, Member.Access);
+      else
+        B.hierarchy().addMember(Handle.id(), Member.Name, Member.IsStatic,
+                                Member.IsVirtual, Member.Access);
+    }
+  }
+  return std::move(B).tryBuild();
+}
+
+size_t modelIndex(const Model &M, const std::string &Name) {
+  for (size_t Idx = 0; Idx != M.size(); ++Idx)
+    if (M[Idx].Name == Name)
+      return Idx;
+  return M.size();
+}
+
+const ModelMember *findModelMember(const ModelClass &C,
+                                   const std::string &Name) {
+  for (const ModelMember &Member : C.Members)
+    if (Member.Name == Name)
+      return &Member;
+  return nullptr;
+}
+
+/// The model indices of \p C's transitive bases.
+std::vector<size_t> transitiveBases(const Model &M, size_t C) {
+  std::vector<bool> Seen(M.size(), false);
+  std::vector<size_t> Out, Stack{C};
+  while (!Stack.empty()) {
+    size_t Cur = Stack.back();
+    Stack.pop_back();
+    for (const ModelBase &Base : M[Cur].Bases) {
+      size_t B = modelIndex(M, Base.Name);
+      if (!Seen[B]) {
+        Seen[B] = true;
+        Out.push_back(B);
+        Stack.push_back(B);
+      }
+    }
+  }
+  return Out;
+}
+
+AccessSpec randomAccess(Rng &R) {
+  return static_cast<AccessSpec>(R.nextBelow(3));
+}
+
+/// Records one op whose operands exist in \p M, and applies it to \p M.
+/// Removals and using-sources are drawn from what is there; a kind with
+/// nothing to draw from falls through to a member edit.
+void recordExistingOperandOp(Rng &R, Model &M, Transaction &Txn) {
+  switch (R.nextBelow(8)) {
+  case 0:
+  case 1: { // RemoveBase: an existing edge.
+    std::vector<std::pair<size_t, size_t>> Edges;
+    for (size_t D = 0; D != M.size(); ++D)
+      for (size_t I = 0; I != M[D].Bases.size(); ++I)
+        Edges.emplace_back(D, I);
+    if (Edges.empty())
+      break;
+    auto [D, I] = Edges[R.nextBelow(Edges.size())];
+    Txn.removeBase(M[D].Name, M[D].Bases[I].Name);
+    M[D].Bases.erase(M[D].Bases.begin() + I);
+    return;
+  }
+  case 2:
+  case 3: { // RemoveMember: an existing declaration.
+    std::vector<std::pair<size_t, size_t>> Decls;
+    for (size_t C = 0; C != M.size(); ++C)
+      for (size_t I = 0; I != M[C].Members.size(); ++I)
+        Decls.emplace_back(C, I);
+    if (Decls.empty())
+      break;
+    auto [C, I] = Decls[R.nextBelow(Decls.size())];
+    Txn.removeMember(M[C].Name, M[C].Members[I].Name);
+    M[C].Members.erase(M[C].Members.begin() + I);
+    return;
+  }
+  case 4:
+  case 5: { // AddUsing: a transitive base, preferably one of its names.
+    std::vector<size_t> Derived;
+    for (size_t C = 0; C != M.size(); ++C)
+      if (!M[C].Bases.empty())
+        Derived.push_back(C);
+    if (Derived.empty())
+      break;
+    size_t C = Derived[R.nextBelow(Derived.size())];
+    std::vector<size_t> Bases = transitiveBases(M, C);
+    size_t From = Bases[R.nextBelow(Bases.size())];
+    std::vector<std::string> Names;
+    for (const ModelMember &Member : M[From].Members)
+      if (!findModelMember(M[C], Member.Name))
+        Names.push_back(Member.Name);
+    std::string Name =
+        Names.empty() ? poolMember(R) : Names[R.nextBelow(Names.size())];
+    if (findModelMember(M[C], Name))
+      break;
+    AccessSpec Access = randomAccess(R);
+    Txn.addUsing(M[C].Name, M[From].Name, Name, Access);
+    M[C].Members.push_back({Name, false, false, Access, M[From].Name});
+    return;
+  }
+  case 6: { // AddBase: a forward edge, so the graph stays acyclic.
+    if (M.size() < 2)
+      break;
+    size_t D = 1 + R.nextBelow(M.size() - 1);
+    size_t B = R.nextBelow(D);
+    if (std::any_of(M[D].Bases.begin(), M[D].Bases.end(),
+                    [&](const ModelBase &E) { return E.Name == M[B].Name; }))
+      break;
+    InheritanceKind Kind = R.nextChance(1, 3) ? InheritanceKind::Virtual
+                                              : InheritanceKind::NonVirtual;
+    AccessSpec Access = randomAccess(R);
+    Txn.addBase(M[D].Name, M[B].Name, Kind, Access);
+    M[D].Bases.push_back({M[B].Name, Kind, Access});
+    return;
+  }
+  default:
+    break;
+  }
+  // AddMember of a pool name - or, if the class already declares it,
+  // its removal.
+  size_t C = R.nextBelow(M.size());
+  std::string Name = poolMember(R);
+  auto Existing = std::find_if(
+      M[C].Members.begin(), M[C].Members.end(),
+      [&](const ModelMember &Member) { return Member.Name == Name; });
+  if (Existing != M[C].Members.end()) {
+    Txn.removeMember(M[C].Name, Name);
+    M[C].Members.erase(Existing);
+    return;
+  }
+  bool IsStatic = R.nextChance(1, 6), IsVirtual = R.nextChance(1, 4);
+  AccessSpec Access = randomAccess(R);
+  Txn.addMember(M[C].Name, Name, IsStatic, IsVirtual, Access);
+  M[C].Members.push_back({Name, IsStatic, IsVirtual, Access, std::string()});
+}
+
+} // namespace
+
+RemovalCaseResult memlook::service::runRemovalCase(uint64_t Seed) {
+  RemovalCaseResult Result;
+  Result.Seed = Seed;
+  Rng R(Seed * 0x9e3779b97f4a7c15ULL + 0x7e30);
+
+  RandomHierarchyParams Params;
+  Params.NumClasses = static_cast<uint32_t>(R.nextInRange(4, 16));
+  Params.MemberPool = 6;
+  Params.UsingChance = 0.15;
+  Workload W = makeRandomHierarchy(Params, R.next());
+  Model Committed = modelOf(W.H);
+
+  ServiceOptions Opts;
+  Opts.WarmThreads = static_cast<uint32_t>(Seed % 5); // 0 = auto
+  LookupService Svc(std::move(W.H), Opts);
+
+  uint64_t NumTxns = R.nextInRange(6, 10);
+  for (uint64_t TxnIdx = 0; TxnIdx != NumTxns; ++TxnIdx) {
+    const std::string Tag = "txn " + std::to_string(TxnIdx);
+    Model Work = Committed;
+    Transaction Txn = Svc.beginTxn();
+    for (uint64_t Ops = R.nextInRange(1, 3); Ops != 0; --Ops)
+      recordExistingOperandOp(R, Work, Txn);
+
+    Status S = Svc.commit(Txn);
+    Expected<Hierarchy> Fresh = buildModel(Work);
+    if (!S.isOk()) {
+      ++Result.TxnsRejected;
+      if (Fresh.hasValue())
+        Result.Mismatches.push_back(Tag + ": service refused (" +
+                                    S.toString() +
+                                    ") what a fresh build accepts");
+      else if (Fresh.status().code() != S.code())
+        Result.Mismatches.push_back(Tag + ": service refused with " +
+                                    S.toString() + ", a fresh build with " +
+                                    Fresh.status().toString());
+      continue;
+    }
+    ++Result.TxnsCommitted;
+    for (const Transaction::Op &Op : Txn.ops())
+      ++Result.CommittedOps[static_cast<size_t>(Op.Kind)];
+    if (!Fresh.hasValue()) {
+      Result.Mismatches.push_back(Tag + ": service committed what a fresh "
+                                        "build refuses (" +
+                                  Fresh.status().toString() + ")");
+      continue;
+    }
+
+    std::shared_ptr<const Snapshot> Now = Svc.snapshot();
+    std::vector<std::string> Published = testutil::describeHierarchy(*Now->H);
+    std::vector<std::string> Built = testutil::describeHierarchy(*Fresh);
+    if (Published != Built) {
+      auto Diff = std::mismatch(Published.begin(), Published.end(),
+                                Built.begin(), Built.end());
+      Result.Mismatches.push_back(
+          Tag + ": published '" +
+          (Diff.first != Published.end() ? *Diff.first : "<end>") +
+          "' but a fresh build has '" +
+          (Diff.second != Built.end() ? *Diff.second : "<end>") + "'");
+    }
+    compareTableWithScratch(*Now, Tag, Result.Mismatches);
+    Committed = std::move(Work);
+  }
+  return Result;
 }

@@ -26,6 +26,12 @@
 /// sequence may crash, assert, trip a sanitizer, or produce a
 /// disagreement, and everything reproduces from the seed alone.
 ///
+/// The removal campaign (runRemovalCase) is the complement: random
+/// operands rarely name an edge or member that exists, so there every
+/// RemoveBase, RemoveMember and AddUsing operand is drawn from the
+/// current hierarchy's edges, members and transitive bases, and a
+/// name-level model of the committed hierarchy is the oracle.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MEMLOOK_FUZZ_EDITSCRIPTFUZZ_H
@@ -33,6 +39,7 @@
 
 #include "memlook/support/ResourceBudget.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -86,6 +93,31 @@ EditScriptCampaignReport
 runEditScriptCampaign(uint64_t FirstSeed, uint64_t NumCases,
                       const ResourceBudget &Budget =
                           ResourceBudget::untrustedInput());
+
+/// Outcome of one removal-campaign case.
+struct RemovalCaseResult {
+  uint64_t Seed = 0;
+  uint64_t TxnsCommitted = 0;
+  uint64_t TxnsRejected = 0;
+  /// Ops inside committed transactions, indexed by Transaction::OpKind.
+  std::array<uint64_t, 7> CommittedOps{};
+  /// Oracle violations; always a bug.
+  std::vector<std::string> Mismatches;
+
+  bool passed() const { return Mismatches.empty(); }
+};
+
+/// Runs one seeded removal-campaign case: a random hierarchy, then
+/// transactions of RemoveBase, RemoveMember, AddUsing, AddBase and
+/// AddMember ops whose operands exist by construction. The same edits
+/// are applied to a name-level model, and after every commit attempt:
+///
+///  * the service commits iff a fresh HierarchyBuilder build of the
+///    model succeeds, and a refusal carries that build's ErrorCode;
+///  * a published hierarchy equals that fresh build in every id-level
+///    fact, closures and topological order included;
+///  * a published table equals LookupTable::build over its hierarchy.
+RemovalCaseResult runRemovalCase(uint64_t Seed);
 
 } // namespace service
 } // namespace memlook

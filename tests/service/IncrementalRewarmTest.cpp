@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -307,6 +308,29 @@ TEST(EditScriptCampaignTest, FiveHundredScriptsRewarmIdenticallyToScratch) {
   EXPECT_GE(Report.TxnsCommitted + Report.TxnsRejected, 500u)
       << "campaign too small to count as 500 edit scripts";
   EXPECT_GT(Report.PairsChecked, 0u);
+}
+
+TEST(EditScriptCampaignTest, CommittedRemovalsMatchFreshBuilds) {
+  // The campaign above draws removal operands at random, so its removals
+  // are nearly always refused. This one draws them from the live
+  // hierarchy, so they commit, and checks each published epoch against
+  // a from-scratch build of the same edits.
+  using OpKind = Transaction::OpKind;
+  std::array<uint64_t, 7> Committed{};
+  uint64_t Txns = 0;
+  for (uint64_t Seed = 3000; Seed != 3060; ++Seed) {
+    RemovalCaseResult Case = runRemovalCase(Seed);
+    for (const std::string &M : Case.Mismatches)
+      ADD_FAILURE() << "seed " << Seed << ": " << M;
+    for (size_t Kind = 0; Kind != Committed.size(); ++Kind)
+      Committed[Kind] += Case.CommittedOps[Kind];
+    Txns += Case.TxnsCommitted + Case.TxnsRejected;
+  }
+  for (OpKind Kind :
+       {OpKind::RemoveBase, OpKind::RemoveMember, OpKind::AddUsing})
+    EXPECT_GE(Committed[static_cast<size_t>(Kind)], 20u)
+        << "op kind " << static_cast<int>(Kind) << " of " << Txns
+        << " transactions";
 }
 
 } // namespace

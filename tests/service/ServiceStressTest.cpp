@@ -557,8 +557,11 @@ TEST(ServiceStressTest, DeadlineExpiryMidParallelBuildLeavesEpochCold) {
   // (cooperatively, at DeadlineStride granularity), the epoch publishes
   // cold, and queries degrade to the per-query rung - while readers
   // race the aborting builds. An explicit warmCurrent() with no
-  // deadline then warms the final epoch fully.
-  Workload W = makeModularForest(10, 3, 4, 4, 2); // 1210 classes
+  // deadline then warms the final epoch fully. The forest is the large
+  // one: a 4-thread build of a 1,210-class forest can finish inside
+  // 1ms, and a warm first epoch turns every later commit into a cheap
+  // rewarm that never meets the deadline.
+  Workload W = makeModularForest(48, 3, 4, 6, 2); // 5808 classes
 
   std::vector<std::string> Classes;
   for (uint32_t Idx = 0; Idx != W.H.numClasses(); ++Idx)
@@ -574,6 +577,8 @@ TEST(ServiceStressTest, DeadlineExpiryMidParallelBuildLeavesEpochCold) {
   Opts.AuditEngineCheck = false;
   Opts.AuditSampleLimit = 32;
   LookupService Svc(std::move(W.H), Opts);
+  ASSERT_FALSE(Svc.snapshot()->warm())
+      << "the initial build met the 1ms budget; the premise is gone";
 
   constexpr int NumReaders = 2;
   std::atomic<bool> Done{false};
