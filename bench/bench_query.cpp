@@ -16,8 +16,8 @@
 //     time, zero string hashing while the epoch matches;
 //   * probe  - probeOn(QueryKey&): the allocation-free rung, one
 //     24-byte compact entry read per answer;
-//   * batch  - queryManyOn(): the key path with one snapshot pin per
-//     batch and software prefetch a window ahead.
+//   * batch  - queryMany(): the key path in a loop under one epoch
+//     guard per batch.
 //
 // Four query mixes stress the distinct regimes: hot_set (a small working
 // set, everything in cache), uniform (the whole table, entry misses
@@ -25,7 +25,8 @@
 // not exist), and post_rewarm (after an incremental commit: stale keys
 // re-resolving, shared short columns answering beyond-span contexts).
 // These steady-state rows pin one snapshot up front and drive the *On
-// entry points - the baseline the trajectory has always tracked.
+// entry points - the baseline the trajectory has always tracked - except
+// batch rows, whose entry point pins the current snapshot itself.
 //
 // The publish_storm section measures the other regime: readers on the
 // epoch-pinned entry point (probe(QueryKey&), one ReadGuard per call)
@@ -50,9 +51,9 @@
 // (deskewServiceSampler below): if they clocked the same ops, every
 // reservoir sample would also be paying the service's internal clock
 // pair and the comparison would measure the overlap, not the path.
-// Batch histogram entries are whole-batch durations (the observability
-// layer records one sample per queryMany call); batch reservoir
-// entries stay per-key amortized.
+// Every key of a batch counts and samples as a key query, so batch rows
+// read the key-path histogram (per key); batch reservoir entries are
+// per-key amortized whole-batch timings.
 //
 // `bench_query --json OUT` writes queries/sec and both percentile
 // views per (mix, path, thread count) to BENCH_query.json - the
@@ -265,8 +266,8 @@ MixData makeHotSet(const LookupService &Svc, const Hierarchy &H,
 }
 
 /// Uniform over the full (class, member) space: column entries rarely
-/// revisit, so the compact table's cache behavior (and the batch path's
-/// prefetching) is what differentiates here.
+/// revisit, so the compact table's cache behavior is what
+/// differentiates here.
 MixData makeUniform(const LookupService &Svc, const Hierarchy &H,
                     uint64_t Seed) {
   MixData M;
@@ -398,7 +399,6 @@ Worker makeWorker(const LookupService &Svc, const MixData &Mix,
   case PathKind::Batch:
     return [&Svc, Keys = Mix.Keys](uint64_t Ops,
                                    SampleReservoir &Samples) mutable {
-      std::shared_ptr<const Snapshot> Snap = Svc.snapshot();
       constexpr size_t Block = 256;
       std::vector<QueryAnswer> Answers(Block);
       size_t I = 0;
@@ -413,10 +413,10 @@ Worker makeWorker(const LookupService &Svc, const MixData &Mix,
         // latency per key is what a caller of queryMany experiences.
         if ((BlockIdx++ & 7) == 0) {
           auto T0 = std::chrono::steady_clock::now();
-          Svc.queryManyOn(*Snap, KeySpan, AnsSpan);
+          Svc.queryMany(KeySpan, AnsSpan);
           Samples.add(elapsedNanos(T0) / double(N));
         } else {
-          Svc.queryManyOn(*Snap, KeySpan, AnsSpan);
+          Svc.queryMany(KeySpan, AnsSpan);
         }
         benchmark::DoNotOptimize(Answers.data());
         Done += N;
@@ -454,7 +454,7 @@ QueryPath obsPath(PathKind Path) {
   case PathKind::Probe:
     return QueryPath::Probe;
   case PathKind::Batch:
-    return QueryPath::Batch;
+    return QueryPath::Key;
   }
   return QueryPath::String;
 }

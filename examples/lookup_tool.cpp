@@ -303,8 +303,8 @@ int runServeOn(service::LookupService &Svc) {
                 << ", gxx " << S.RungAnswers[2] << "), unknown contexts "
                 << S.UnknownContexts << '\n'
                 << "fast lane: resolves " << S.Resolves << ", probes "
-                << S.Probes << ", batches " << S.BatchQueries
-                << ", stale-key re-resolves " << S.StaleKeyReresolves
+                << S.Probes << ", stale-key re-resolves "
+                << S.StaleKeyReresolves
                 << ", stale-context rejects " << S.StaleContextRejects
                 << '\n'
                 << "audits " << S.Audits << ", mismatches "

@@ -276,17 +276,16 @@ struct ServiceStats {
   uint64_t CommitRejects = 0;    ///< commits rolled back by validation
   uint64_t CommitConflicts = 0;  ///< commits rolled back by epoch race
   uint64_t AbortedTxns = 0;      ///< explicit abort() calls
-  uint64_t Queries = 0; ///< queries answered (string, key, and batch keys)
+  uint64_t Queries = 0; ///< queries answered (string and key; queryMany keys)
   uint64_t RungAnswers[3] = {0, 0, 0}; ///< answers per AnswerRung
   uint64_t UnknownContexts = 0;  ///< queries naming no class (still answered)
   uint64_t Resolves = 0;         ///< resolve() calls (QueryKeys minted)
   uint64_t Probes = 0;           ///< probe()/probeOn() calls
-  uint64_t BatchQueries = 0;     ///< queryMany() batches (keys count as Queries)
   /// Keys transparently re-resolved because a commit outran their epoch.
   uint64_t StaleKeyReresolves = 0;
   /// Audit stat: context ids that were *valid-looking but out of the
-  /// epoch's range* (stale or forged), degraded to NotFound by the
-  /// release-safe checked find instead of undefined behavior.
+  /// epoch's range* (stale or forged), answered UnknownClass / NotFound
+  /// by the ladder's context check instead of undefined behavior.
   uint64_t StaleContextRejects = 0;
   uint64_t Audits = 0;           ///< audit passes completed
   uint64_t AuditMismatches = 0;  ///< total mismatch lines across audits
@@ -361,12 +360,13 @@ struct AuditReport {
 /// The long-lived, concurrency-safe lookup front end. Thread-safety
 /// contract: query()/queryOn()/snapshot()/stats() may be called from
 /// any number of threads concurrently with each other and with
-/// commit()/abort()/auditNow(); writers serialize internally. The hot
-/// entry points (query()/probe()/queryMany()/resolve()/currentEpoch())
-/// are lock-free: they pin the published snapshot through an
+/// commit()/abort()/auditNow(); writers serialize internally. Every
+/// read entry point (query()/probe()/queryMany()/resolve()/snapshot())
+/// is lock-free: it pins the published snapshot through an
 /// epoch-reclamation ReadGuard (support/EpochReclaimer.h) - no mutex,
-/// no shared refcount - so readers never block writers and writers
-/// never block readers; see docs/SERVICE.md "Concurrency contract".
+/// and no shared refcount except the one snapshot() hands out - so
+/// readers never block writers and writers never block readers; see
+/// docs/SERVICE.md "Concurrency contract".
 class LookupService {
 public:
   /// Takes ownership of a finalized hierarchy as epoch 1. Asserts on an
@@ -433,12 +433,11 @@ public:
   // Snapshots and queries
   //===--------------------------------------------------------------------===
 
-  /// Pins the current snapshot with a shared_ptr: one pointer copy under
-  /// a brief lock. The returned snapshot never changes; run any number
-  /// of queryOn() calls against it for a consistent multi-query view.
-  /// This is the slow-path / external-pinning API - the hot entry points
-  /// (query(), probe(), queryMany(), resolve()) pin lock-free through
-  /// the epoch reclaimer instead and never touch SnapMutex.
+  /// Pins the current snapshot beyond one call: the epoch guard every
+  /// read entry point takes, plus one shared_ptr reference taken under
+  /// it. The returned snapshot never changes; run any number of
+  /// queryOn()/probeOn() calls against it for a consistent multi-query
+  /// view.
   std::shared_ptr<const Snapshot> snapshot() const;
 
   /// Epoch of the current snapshot: a single relaxed atomic read,
@@ -477,25 +476,19 @@ public:
   QueryAnswer queryOn(const Snapshot &Snap, QueryKey &Key,
                       const Deadline &D = Deadline::never()) const;
 
-  /// Batch query: answers Keys[I] into Answers[I]. Pins the snapshot
-  /// once for the whole batch (one lock + shared_ptr copy amortized
-  /// over N keys) and software-prefetches the column entries a window
-  /// ahead, so the per-key cache misses overlap instead of serializing.
-  /// \p Answers must be exactly Keys.size() long.
+  /// Batch query: answers Keys[I] into Answers[I], each exactly as
+  /// queryOn(Snap, Keys[I]) would (counted, sampled, and traced as a
+  /// key query), under one epoch guard so the whole batch sees one
+  /// snapshot. \p Answers must be exactly Keys.size() long.
   void queryMany(std::span<QueryKey> Keys, std::span<QueryAnswer> Answers,
                  const Deadline &D = Deadline::never()) const;
-
-  /// Same, against an explicitly pinned snapshot.
-  void queryManyOn(const Snapshot &Snap, std::span<QueryKey> Keys,
-                   std::span<QueryAnswer> Answers,
-                   const Deadline &D = Deadline::never()) const;
 
   /// The allocation-free rung: classification + target member straight
   /// from the 24-byte compact entry, no witness materialization. On a
   /// warm snapshot this reads one column entry and touches no heap; on
   /// a cold or quarantined one it descends the same ladder as query()
   /// (which allocates internally) and compresses the result. Stale and
-  /// even forged context ids degrade to NotFound + the
+  /// even forged context ids answer UnknownContext + the
   /// StaleContextRejects audit stat - never undefined behavior.
   ProbeAnswer probe(QueryKey &Key, const Deadline &D = Deadline::never()) const;
 
@@ -615,22 +608,42 @@ private:
   /// (Re-)resolves \p Key's ids against \p Snap and restamps its epoch.
   void resolveKeyOn(const Snapshot &Snap, QueryKey &Key) const;
 
-  /// The degradation ladder after name resolution - shared by the
-  /// string-keyed and resolved-handle paths. \p ClassSpelling is only
-  /// read on the unknown-context error path.
-  QueryAnswer answerResolved(const Snapshot &Snap, ClassId Context,
-                             std::string_view ClassSpelling, Symbol Member,
-                             const Deadline &D) const;
+  /// The resolved-key read behind queryOn(key), probeOn(), and every
+  /// queryMany() key: refreshes a stale \p Key, then answers it.
+  template <typename AnswerT>
+  AnswerT readKey(const Snapshot &Snap, QueryKey &Key, QueryPath Path,
+                  const Deadline &D) const;
 
-  /// probeOn() after key refresh: the original probe body, split out
-  /// so the sampled-latency wrapper has one exit to clock.
-  ProbeAnswer probeResolved(const Snapshot &Snap, const QueryKey &Key,
-                            const Deadline &D) const;
+  /// The degradation ladder after name resolution - shared by every
+  /// read entry point, and the one place rungs are counted. A
+  /// QueryAnswer and a ProbeAnswer differ only in what the tabulated
+  /// rung reads (a materialized find() or the POD probe()).
+  /// \p ClassSpelling is only read on the unknown-context error path.
+  template <typename AnswerT>
+  AnswerT answerOn(const Snapshot &Snap, ClassId Context,
+                   std::string_view ClassSpelling, Symbol Member,
+                   const Deadline &D) const;
 
-  /// Post-answer observability for the single-key paths: closes the
-  /// latency sample opened by Obs.sampleBegin() (when T0 != 0) and
-  /// logs a rung-drop anomaly for non-tabulated answers.
-  void finishQuery(QueryPath Path, uint64_t T0, const QueryAnswer &A) const;
+  /// The prologue of every read: counts it (Queries, or Probes for
+  /// QueryPath::Probe) and opens its latency sample, returning
+  /// Obs.sampleBegin()'s stamp.
+  uint64_t beginRead(QueryPath Path) const;
+
+  /// The epilogue of every read: closes the latency sample beginRead()
+  /// opened (when T0 != 0) and logs a rung-drop anomaly for
+  /// non-tabulated answers.
+  template <typename AnswerT>
+  void finishRead(QueryPath Path, uint64_t T0, const AnswerT &A) const;
+
+  /// Every table the service adopts comes through here, so the column
+  /// counters are booked in one place. Fills \p Next.Table unless it
+  /// already holds one (a loaded snapshot's): a rewarm of \p Base's
+  /// table when \p Base is warm and its edit script \p Ops keeps class
+  /// ids stable, else a full build, both under \p D. Next.Table stays
+  /// null when \p D expires first.
+  void tabulate(Snapshot &Next, const Deadline &D,
+                const Snapshot *Base = nullptr,
+                const std::vector<Transaction::Op> *Ops = nullptr);
 
   ServiceOptions Opts;
 
@@ -640,17 +653,16 @@ private:
   /// ReadStats below.
   mutable ObservabilityCenter Obs{Opts.Observability};
 
-  /// Guards Current only; held for pointer copies, never across work.
-  /// Only the slow-path snapshot() API and publish() touch it - the hot
-  /// read paths go through CurrentPtr + Reclaimer below.
-  mutable std::mutex SnapMutex;
+  /// Owns the published snapshot. Only writers touch it, under
+  /// WriterMutex; readers never do - they go through CurrentPtr.
   std::shared_ptr<const Snapshot> Current;
 
-  /// Lock-free publication point for the hot read paths. publish()
-  /// stores here (with EpochReclaimer::pointerOrder()) after swapping
-  /// Current; guard-pinned readers load it and dereference raw. The
-  /// pointee is kept alive by Current / external snapshot() holders /
-  /// the reclaimer's limbo list - never by the reader.
+  /// The one publication point. publish() stores here (with
+  /// EpochReclaimer::pointerOrder()) after swapping Current;
+  /// guard-pinned readers load it and dereference raw, and snapshot()
+  /// takes its shared_ptr reference under the same guard. The pointee
+  /// is kept alive by Current / external snapshot() holders / the
+  /// reclaimer's limbo list - never by the reader.
   std::atomic<const Snapshot *> CurrentPtr{nullptr};
 
   /// currentEpoch()'s backing store, updated at publish.
@@ -708,7 +720,6 @@ private:
     RcUnknownContexts,
     RcResolves,
     RcProbes,
-    RcBatchQueries,
     RcStaleKeyReresolves,
     RcStaleContextRejects,
     RcNumReadCounters

@@ -53,16 +53,16 @@ inline uint64_t observabilityNowNanos() {
 }
 
 /// Which entry point answered: the label axis of the latency
-/// histograms (string queries, resolved-key queries, probes, batches).
+/// histograms (string queries, resolved-key queries - each key of a
+/// queryMany() included - and probes).
 enum class QueryPath : uint8_t {
   String = 0,
   Key = 1,
   Probe = 2,
-  Batch = 3,
 };
-inline constexpr size_t NumQueryPaths = 4;
+inline constexpr size_t NumQueryPaths = 3;
 
-/// Returns "string" / "key" / "probe" / "batch".
+/// Returns "string" / "key" / "probe".
 const char *queryPathLabel(QueryPath Path);
 
 /// What a trace-ring record describes.
@@ -71,26 +71,24 @@ enum class TraceKind : uint8_t {
   Query = 0,
   /// A sampled probe.
   Probe = 1,
-  /// A sampled queryMany() batch; Rung is the worst rung in the batch.
-  Batch = 2,
   /// A published commit (always traced; duration covers validate +
   /// WAL append + warm + publish).
-  Commit = 3,
+  Commit = 2,
   /// A rejected/conflicted commit (always traced).
-  CommitReject = 4,
+  CommitReject = 3,
   /// A restore() that produced this service; Rung carries the
   /// RestoreRung, not an AnswerRung.
-  Restore = 5,
+  Restore = 4,
   /// A warmCurrent() that built a table.
-  Warm = 6,
+  Warm = 5,
   /// An auditNow() pass (duration covers both audit layers).
-  Audit = 7,
+  Audit = 6,
   /// An audit quarantined the table (paired with the Audit event).
-  Quarantine = 8,
+  Quarantine = 7,
   /// A saveSnapshot() that hit disk.
-  SnapshotSave = 9,
+  SnapshotSave = 8,
 };
-inline constexpr size_t NumTraceKinds = 10;
+inline constexpr size_t NumTraceKinds = 9;
 
 /// Returns "query" / "probe" / ... / "snapshot-save".
 const char *traceKindLabel(TraceKind Kind);
@@ -124,7 +122,7 @@ struct TraceEvent {
 
 /// A bounded, lock-free ring of recent TraceEvents. Writers are
 /// wait-free: each thread is round-robin-assigned one of NumShards
-/// rings (the ShardedCounters discipline), claims a slot with one
+/// rings (threadShardIndex), claims a slot with one
 /// relaxed fetch_add, and publishes the record under a per-entry
 /// sequence lock whose payload words are themselves relaxed atomics -
 /// so a concurrent drain() sees either a whole record or none, and
@@ -169,8 +167,6 @@ private:
 
   uint32_t Capacity;
   Shard Shards[NumShards];
-
-  static size_t shardIndex();
 };
 
 /// Why an anomaly-log record exists.
@@ -285,15 +281,10 @@ public:
     return observabilityNowNanos();
   }
 
-  /// Completes a sampled single-key operation begun at \p T0:
-  /// histogram record, trace event, and a SlowQuery check.
+  /// Completes a sampled read begun at \p T0: histogram record, trace
+  /// event, and a SlowQuery check.
   void recordQuerySample(QueryPath Path, AnswerRung Rung, uint64_t T0,
                          uint64_t Epoch, uint8_t Flags);
-
-  /// Completes a sampled batch: one histogram record of the whole
-  /// batch's duration under the worst rung any key hit.
-  void recordBatchSample(AnswerRung WorstRung, uint64_t T0, uint64_t Epoch,
-                         size_t NumKeys);
 
   /// Writer-side event (commit/restore/warm/audit/save): always
   /// traced, never sampled. Commit durations additionally feed the

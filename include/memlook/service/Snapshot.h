@@ -14,9 +14,10 @@
 /// graph. The service keeps that assumption *per epoch*: every
 /// committed transaction produces a brand-new Snapshot (shared-ownership
 /// Hierarchy + LookupTable), published by pointer swap. Concurrent
-/// readers pin a snapshot with one shared_ptr copy and never observe a
-/// mutation, never take a lock while querying, and never block writers;
-/// a snapshot dies when its last pinning reader releases it.
+/// readers pin a snapshot through the service's epoch guard and never
+/// observe a mutation, never take a lock while querying, and never
+/// block writers; a snapshot dies once no guard and no shared_ptr
+/// holder can still reach it.
 ///
 /// The one concession to mutability is the quarantine flag: when the
 /// self-audit catches the cached table disagreeing with a live engine,
@@ -39,15 +40,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-/// Best-effort cache prefetch, used by the batch query path to overlap
-/// column-entry loads across a batch. A no-op on compilers without the
-/// builtin - prefetching is purely a hint, never semantics.
-#if defined(__GNUC__) || defined(__clang__)
-#define MEMLOOK_PREFETCH(Addr) __builtin_prefetch(Addr)
-#else
-#define MEMLOOK_PREFETCH(Addr) ((void)sizeof(Addr))
-#endif
 
 namespace memlook {
 namespace service {
@@ -126,36 +118,19 @@ public:
               std::vector<std::shared_ptr<const Column>> Columns);
 
   /// The tabulated answer for (\p Context, \p Member), materialized on
-  /// read from the compact column (so it is returned by value). Names
-  /// never declared anywhere in the epoch's hierarchy answer NotFound.
-  /// \p Context must be a valid class id of \p H, the hierarchy the
-  /// table was built over (witness paths are reconstructed against it).
+  /// read from the compact column (so it is returned by value) and
+  /// witnessed against \p H, the hierarchy the table was built over.
+  /// Names never declared anywhere in the epoch's hierarchy answer
+  /// NotFound, and so does a context id that is invalid or beyond this
+  /// table's row span (a stale or forged id): release-safe, never an
+  /// out-of-range read.
   LookupResult find(const Hierarchy &H, ClassId Context, Symbol Member) const {
-    assert(Context.isValid() && Context.index() < NumClasses &&
-           "class id from a different epoch?");
     uint32_t Col = columnIndexFor(Member);
-    if (Col == NoColumn)
-      return LookupResult::notFound();
+    if (Context.rawValue() >= NumClasses || Col == NoColumn)
+      return LookupResult::notFound(); // invalid sentinel is UINT32_MAX
     // resultFor answers NotFound for rows beyond a shared short
     // column's span (new class, unimpacted name: see rewarm()).
     return Columns[Col]->resultFor(H, Context);
-  }
-
-  /// Release-safe twin of find(): a context id that is invalid or
-  /// beyond this table's row span - a stale id resolved at another
-  /// epoch, or a forged QueryKey - answers NotFound and sets
-  /// \p *StaleContext (when non-null) instead of relying on an assert
-  /// that compiles away in release builds. The service's tabulated rung
-  /// uses this for resolved-handle queries, whose raw ids the caller
-  /// stores across commits.
-  LookupResult findChecked(const Hierarchy &H, ClassId Context, Symbol Member,
-                           bool *StaleContext = nullptr) const {
-    if (Context.rawValue() >= NumClasses) { // invalid sentinel is UINT32_MAX
-      if (StaleContext)
-        *StaleContext = true;
-      return LookupResult::notFound();
-    }
-    return find(H, Context, Member);
   }
 
   /// The allocation-free answer of probe(): classification plus the
@@ -169,24 +144,17 @@ public:
     ClassId DefiningClass;
     AccessSpec Access = AccessSpec::Public;
     bool SharedStatic = false;
-    /// The context id was invalid or out of this table's row span
-    /// (stale epoch / forged key): answered NotFound, release-safe.
-    bool StaleContext = false;
   };
 
   /// Classifies (\p Context, \p Member) by reading one compact entry,
-  /// with findChecked()'s bounds discipline (a stale context answers
-  /// NotFound, flagged). Row Overrides - the corruption-injection side
+  /// with find()'s bounds discipline (a stale or forged context answers
+  /// NotFound). Row Overrides - the corruption-injection side
   /// channel - are honored without materializing their stored result,
   /// so a probe never allocates on any path.
   Probe probe(ClassId Context, Symbol Member) const {
     Probe P;
-    if (Context.rawValue() >= NumClasses) {
-      P.StaleContext = true;
-      return P;
-    }
     uint32_t Col = columnIndexFor(Member);
-    if (Col == NoColumn)
+    if (Context.rawValue() >= NumClasses || Col == NoColumn)
       return P;
     const Column &C = *Columns[Col];
     uint32_t Row = Context.index();
@@ -218,19 +186,6 @@ public:
       break;
     }
     return P;
-  }
-
-  /// Best-effort prefetch of the compact entry a subsequent probe() or
-  /// find() for (\p Context, \p Member) will read. queryMany() issues
-  /// these across a batch so the (cache-missing) column loads overlap
-  /// instead of serializing.
-  void prefetchEntry(ClassId Context, Symbol Member) const {
-    uint32_t Col = columnIndexFor(Member);
-    if (Col == NoColumn)
-      return;
-    std::span<const CompactEntry> Entries = Columns[Col]->Data.rawEntries();
-    if (Context.rawValue() < Entries.size())
-      MEMLOOK_PREFETCH(Entries.data() + Context.rawValue());
   }
 
   /// Number of tabulated entry slots across all columns (shared columns
@@ -310,11 +265,13 @@ private:
   BuildStats Build;
 };
 
-/// One epoch-numbered, immutable hierarchy state. Readers pin it with a
-/// shared_ptr copy; the service publishes a new one on every committed
-/// transaction (epoch bumps) and on table warm/rebuild (epoch stays -
-/// the epoch names the *hierarchy content*, not the cache state).
-struct Snapshot {
+/// One epoch-numbered, immutable hierarchy state. The service publishes
+/// a new one on every committed transaction (epoch bumps) and on table
+/// warm/rebuild (epoch stays - the epoch names the *hierarchy content*,
+/// not the cache state). Always owned by a shared_ptr, so a reader
+/// that found it through the service's epoch guard can take a lasting
+/// reference with shared_from_this().
+struct Snapshot : std::enable_shared_from_this<Snapshot> {
   /// Monotone epoch, starting at 1 for the service's initial hierarchy
   /// and incremented by every committed transaction.
   uint64_t Epoch = 0;

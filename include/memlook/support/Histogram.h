@@ -33,6 +33,8 @@
 #ifndef MEMLOOK_SUPPORT_HISTOGRAM_H
 #define MEMLOOK_SUPPORT_HISTOGRAM_H
 
+#include "memlook/support/ThreadShard.h"
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -189,7 +191,7 @@ public:
                 "shard masking requires a power of two");
 
   void record(uint64_t Value) {
-    Shard &S = Shards[shardIndex()];
+    Shard &S = Shards[threadShardIndex(NumShards)];
     S.Counts[LatencyHistogram::bucketOf(Value)].fetch_add(
         1, std::memory_order_relaxed);
     S.NumSamples.fetch_add(1, std::memory_order_relaxed);
@@ -234,15 +236,6 @@ private:
     std::atomic<uint64_t> MaxSeen{0};
   };
   Shard Shards[NumShards];
-
-  /// The ShardedCounters thread->shard assignment, verbatim: global
-  /// round-robin ticket taken once per thread.
-  static size_t shardIndex() {
-    static std::atomic<uint32_t> NextShard{0};
-    thread_local uint32_t Assigned =
-        NextShard.fetch_add(1, std::memory_order_relaxed);
-    return Assigned & (NumShards - 1);
-  }
 };
 
 } // namespace memlook

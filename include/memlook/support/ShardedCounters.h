@@ -31,6 +31,8 @@
 #ifndef MEMLOOK_SUPPORT_SHARDEDCOUNTERS_H
 #define MEMLOOK_SUPPORT_SHARDEDCOUNTERS_H
 
+#include "memlook/support/ThreadShard.h"
+
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -39,9 +41,10 @@
 namespace memlook {
 
 /// \p NumCounters monotone uint64 counters, sharded NumShards ways.
-/// Shards are assigned per *thread*, not per instance: a thread uses the
-/// same shard index in every ShardedCounters it touches, which keeps the
-/// assignment a single thread_local and costs nothing in distribution.
+/// Shards are assigned per *thread*, not per instance (threadShardIndex):
+/// a thread uses the same shard index in every ShardedCounters it
+/// touches, which keeps the assignment a single thread_local and costs
+/// nothing in distribution.
 template <size_t NumCounters> class ShardedCounters {
 public:
   static constexpr size_t NumShards = 16;
@@ -51,8 +54,8 @@ public:
   /// Adds \p Delta to counter \p Counter on the calling thread's shard.
   void add(size_t Counter, uint64_t Delta = 1) {
     assert(Counter < NumCounters && "counter index out of range");
-    Shards[shardIndex()].Slots[Counter].fetch_add(Delta,
-                                                  std::memory_order_relaxed);
+    Shards[threadShardIndex(NumShards)].Slots[Counter].fetch_add(
+        Delta, std::memory_order_relaxed);
   }
 
   /// The eventually-consistent total of counter \p Counter across all
@@ -71,13 +74,6 @@ private:
   struct alignas(64) Shard {
     std::atomic<uint64_t> Slots[NumCounters] = {};
   };
-
-  static size_t shardIndex() {
-    static std::atomic<uint32_t> NextShard{0};
-    thread_local uint32_t Assigned =
-        NextShard.fetch_add(1, std::memory_order_relaxed);
-    return Assigned & (NumShards - 1);
-  }
 
   Shard Shards[NumShards];
 };

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 using namespace memlook;
 using namespace memlook::service;
@@ -92,13 +93,8 @@ LookupService::LookupService(Hierarchy Initial, ServiceOptions Options)
   auto Snap = std::make_shared<Snapshot>();
   Snap->Epoch = 1;
   Snap->H = std::make_shared<const Hierarchy>(std::move(Initial));
-  if (Opts.WarmOnCommit) {
-    Deadline BuildDeadline = warmDeadline();
-    Snap->Table = LookupTable::build(*Snap->H, BuildDeadline, Opts.WarmThreads);
-    if (Snap->Table)
-      NumColumnsDeduped.fetch_add(Snap->Table->buildStats().ColumnsDeduped,
-                                  std::memory_order_relaxed);
-  }
+  if (Opts.WarmOnCommit)
+    tabulate(*Snap, warmDeadline());
   if (!Opts.WalPath.empty()) {
     // A fresh service is a fresh history: start the log at epoch 1.
     // restore() is the entry point that preserves an existing log (it
@@ -134,12 +130,9 @@ LookupService::LookupService(RestoreTag, uint64_t Epoch,
   Snap->Epoch = Epoch;
   Snap->H = std::move(H);
   Snap->Table = std::move(Table);
-  if (!Snap->Table && Opts.WarmOnCommit)
-    Snap->Table = LookupTable::build(*Snap->H, warmDeadline(),
-                                     Opts.WarmThreads);
-  if (Snap->Table)
-    NumColumnsDeduped.fetch_add(Snap->Table->buildStats().ColumnsDeduped,
-                                std::memory_order_relaxed);
+  // A loaded table is booked as it stands; a cold file warms here.
+  if (Snap->Table || Opts.WarmOnCommit)
+    tabulate(*Snap, warmDeadline());
   adoptInitial(std::move(Snap));
 }
 
@@ -394,7 +387,7 @@ Status LookupService::saveSnapshot(const std::string &Path) const {
   // all while E stays current).
   std::lock_guard<std::mutex> Writer(WriterMutex);
   const uint64_t T0 = observabilityNowNanos();
-  std::shared_ptr<const Snapshot> Snap = snapshot();
+  std::shared_ptr<const Snapshot> Snap = Current;
   Status S = writeSnapshotFile(Path, *Snap);
   if (!S.isOk())
     return S;
@@ -423,8 +416,10 @@ LookupService::~LookupService() {
 }
 
 std::shared_ptr<const Snapshot> LookupService::snapshot() const {
-  std::lock_guard<std::mutex> Lock(SnapMutex);
-  return Current;
+  // The guard keeps the pointee alive (Current or the limbo list holds
+  // a reference) until shared_from_this() has taken the caller's own.
+  EpochReclaimer::ReadGuard Guard(Reclaimer);
+  return currentRaw()->shared_from_this();
 }
 
 void LookupService::adoptInitial(std::shared_ptr<const Snapshot> Snap) {
@@ -438,12 +433,7 @@ void LookupService::publish(std::shared_ptr<const Snapshot> Next) {
   // Callers hold WriterMutex, which serializes the epoch-reclaimer's
   // writer side (retire + reclaim) as well as the swap itself.
   const Snapshot *Raw = Next.get();
-  std::shared_ptr<const Snapshot> Old;
-  {
-    std::lock_guard<std::mutex> Lock(SnapMutex);
-    Old = std::move(Current);
-    Current = std::move(Next);
-  }
+  std::shared_ptr<const Snapshot> Old = std::exchange(Current, std::move(Next));
   CurrentEpoch.store(Raw->Epoch, std::memory_order_relaxed);
   // The EBR publication point: the store must precede the epoch bump
   // inside retire() (see EpochReclaimer.h's W1/W2/W3 ordering).
@@ -457,8 +447,165 @@ Deadline LookupService::warmDeadline() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Queries: the degradation ladder
+// Reads: one degradation ladder behind every entry point
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+// The two answer shapes differ only in how a rung's result is stored:
+// a QueryAnswer keeps the materialized LookupResult, a ProbeAnswer its
+// POD classification.
+
+void setResult(QueryAnswer &A, LookupResult R) { A.Result = std::move(R); }
+
+void setResult(ProbeAnswer &A, const LookupResult &R) {
+  A.Status = R.Status;
+  A.DefiningClass = R.DefiningClass;
+  A.Access = R.EffectiveAccess.value_or(AccessSpec::Public);
+  A.SharedStatic = R.SharedStatic;
+}
+
+/// The tabulated rung: a materialized find() for a query, the
+/// allocation-free compact-entry probe() for a probe.
+void readTable(QueryAnswer &A, const Snapshot &Snap, ClassId Context,
+               Symbol Member) {
+  A.Result = Snap.Table->find(*Snap.H, Context, Member);
+}
+
+void readTable(ProbeAnswer &A, const Snapshot &Snap, ClassId Context,
+               Symbol Member) {
+  LookupTable::Probe P = Snap.Table->probe(Context, Member);
+  A.Status = P.Status;
+  A.DefiningClass = P.DefiningClass;
+  A.Access = P.Access;
+  A.SharedStatic = P.SharedStatic;
+}
+
+void setUnknownContext(QueryAnswer &A, std::string_view ClassSpelling) {
+  A.S = Status::error(ErrorCode::UnknownClass,
+                      "unknown context class '" + std::string(ClassSpelling) +
+                          "' at epoch " + std::to_string(A.Epoch));
+}
+
+void setUnknownContext(ProbeAnswer &A, std::string_view) {
+  A.UnknownContext = true;
+}
+
+bool unknownContext(const QueryAnswer &A) { return !A.S.isOk(); }
+bool unknownContext(const ProbeAnswer &A) { return A.UnknownContext; }
+
+/// Rungs 1 and 2, for a snapshot with no warm table. Kept out of the
+/// ladder's templates so the warm path they share stays small.
+LookupResult answerPerQuery(const Hierarchy &H, ClassId Context, Symbol Member,
+                            const Deadline &D, size_t MaxSubobjects,
+                            AnswerRung &Rung) {
+  // Rung 1: a private Figure 8 engine, memoizing only this query's
+  // down-closure, bounded by the caller's deadline. Skipped outright
+  // when the deadline has already expired.
+  if (!D.expired()) {
+    DominanceLookupEngine Engine(H, DominanceLookupEngine::Mode::LazyRecursive);
+    Engine.setDeadline(&D);
+    LookupResult R = Engine.lookup(Context, Member);
+    if (!isBudgetDegraded(R.Status)) {
+      Rung = AnswerRung::Figure8PerQuery;
+      return R;
+    }
+  }
+
+  // Rung 2: the floor. Instant-ish, never refuses, but approximate
+  // (g++ 2.7.2's eager ambiguity reporting) - a late or approximate
+  // answer beats none, so this rung answers even past the deadline,
+  // flagged.
+  GxxBfsEngine Floor(H, MaxSubobjects);
+  Rung = AnswerRung::GxxApproximate;
+  return Floor.lookup(Context, Member);
+}
+
+template <typename AnswerT> uint8_t traceFlagsOf(const AnswerT &A) {
+  uint8_t Flags = 0;
+  if (A.Approximate)
+    Flags |= TfApproximate;
+  if (A.DeadlineExpired)
+    Flags |= TfDeadlineExpired;
+  if (A.TableQuarantined)
+    Flags |= TfTableQuarantined;
+  if (unknownContext(A))
+    Flags |= TfUnknownContext;
+  return Flags;
+}
+
+} // namespace
+
+template <typename AnswerT>
+AnswerT LookupService::answerOn(const Snapshot &Snap, ClassId Context,
+                                std::string_view ClassSpelling, Symbol Member,
+                                const Deadline &D) const {
+  AnswerT A;
+  A.Epoch = Snap.Epoch;
+  A.TableQuarantined = Snap.quarantined();
+
+  // Rung 0, constant time: the epoch's warm table, and the two shapes
+  // no table is needed for. Each rung is counted before its answer is
+  // read: a locked add after the table read lengthens a warm read's
+  // latency.
+  const bool KnownContext = Context.rawValue() < Snap.H->numClasses();
+  if (!KnownContext || !Member.isValid() || Snap.warm()) {
+    ReadStats.add(RcRungTabulated);
+    if (!KnownContext) {
+      // No rung can resolve a member in the context of a class this
+      // epoch has never heard of. A *valid-looking* id beyond the
+      // epoch's range is the stale/forged-handle case: same answer,
+      // plus an audit stat. Past this check Context is in range, and a
+      // published table always spans its snapshot's hierarchy.
+      if (Context.isValid())
+        ReadStats.add(RcStaleContextRejects);
+      ReadStats.add(RcUnknownContexts);
+      setUnknownContext(A, ClassSpelling);
+    } else if (Member.isValid()) {
+      readTable(A, Snap, Context, Member);
+      A.DeadlineExpired = D.expired();
+    } // else a name never interned in this epoch: NotFound.
+    return A;
+  }
+
+  // A cold or quarantined table: the per-query rungs. Allocation is
+  // unavoidable there - the engines build witness state.
+  setResult(A, answerPerQuery(*Snap.H, Context, Member, D,
+                              Opts.Budget.MaxSubobjects, A.Rung));
+  ReadStats.add(RcRungTabulated + static_cast<size_t>(A.Rung));
+  A.Approximate = A.Rung == AnswerRung::GxxApproximate;
+  A.DeadlineExpired = A.Approximate && D.expired();
+  return A;
+}
+
+uint64_t LookupService::beginRead(QueryPath Path) const {
+  ReadStats.add(Path == QueryPath::Probe ? RcProbes : RcQueries);
+  return Obs.sampleBegin();
+}
+
+template <typename AnswerT>
+void LookupService::finishRead(QueryPath Path, uint64_t T0,
+                               const AnswerT &A) const {
+  if (T0)
+    Obs.recordQuerySample(Path, A.Rung, T0, A.Epoch, traceFlagsOf(A));
+  if (A.Rung != AnswerRung::Tabulated)
+    Obs.noteRungDrop(Path, A.Rung, A.Epoch, A.DeadlineExpired);
+}
+
+template <typename AnswerT>
+AnswerT LookupService::readKey(const Snapshot &Snap, QueryKey &Key,
+                               QueryPath Path, const Deadline &D) const {
+  const uint64_t T0 = beginRead(Path);
+  if (Key.Epoch != Snap.Epoch) {
+    ReadStats.add(RcStaleKeyReresolves);
+    resolveKeyOn(Snap, Key);
+    Obs.noteStaleKey(Snap.Epoch);
+  }
+  AnswerT A = answerOn<AnswerT>(Snap, Key.Context, Key.ClassName, Key.Member,
+                                D);
+  finishRead(Path, T0, A);
+  return A;
+}
 
 QueryAnswer LookupService::query(std::string_view Class,
                                  std::string_view Member,
@@ -467,139 +614,15 @@ QueryAnswer LookupService::query(std::string_view Class,
   return queryOn(*currentRaw(), Class, Member, D);
 }
 
-namespace {
-
-uint8_t traceFlagsOf(const QueryAnswer &A) {
-  uint8_t Flags = 0;
-  if (A.Approximate)
-    Flags |= TfApproximate;
-  if (A.DeadlineExpired)
-    Flags |= TfDeadlineExpired;
-  if (A.TableQuarantined)
-    Flags |= TfTableQuarantined;
-  if (!A.S.isOk())
-    Flags |= TfUnknownContext;
-  return Flags;
-}
-
-uint8_t traceFlagsOf(const ProbeAnswer &A) {
-  uint8_t Flags = 0;
-  if (A.Approximate)
-    Flags |= TfApproximate;
-  if (A.DeadlineExpired)
-    Flags |= TfDeadlineExpired;
-  if (A.TableQuarantined)
-    Flags |= TfTableQuarantined;
-  if (A.UnknownContext)
-    Flags |= TfUnknownContext;
-  return Flags;
-}
-
-} // namespace
-
-void LookupService::finishQuery(QueryPath Path, uint64_t T0,
-                                const QueryAnswer &A) const {
-  if (T0)
-    Obs.recordQuerySample(Path, A.Rung, T0, A.Epoch, traceFlagsOf(A));
-  if (A.Rung != AnswerRung::Tabulated)
-    Obs.noteRungDrop(Path, A.Rung, A.Epoch, A.DeadlineExpired);
-}
-
 QueryAnswer LookupService::queryOn(const Snapshot &Snap, std::string_view Class,
                                    std::string_view Member,
                                    const Deadline &D) const {
-  ReadStats.add(RcQueries);
-  const uint64_t T0 = Obs.sampleBegin();
-  QueryAnswer A = answerResolved(Snap, Snap.H->findClass(Class), Class,
-                                 Snap.H->findName(Member), D);
-  finishQuery(QueryPath::String, T0, A);
+  const uint64_t T0 = beginRead(QueryPath::String);
+  QueryAnswer A = answerOn<QueryAnswer>(Snap, Snap.H->findClass(Class), Class,
+                                        Snap.H->findName(Member), D);
+  finishRead(QueryPath::String, T0, A);
   return A;
 }
-
-QueryAnswer LookupService::answerResolved(const Snapshot &Snap,
-                                          ClassId Context,
-                                          std::string_view ClassSpelling,
-                                          Symbol Member,
-                                          const Deadline &D) const {
-  QueryAnswer Answer;
-  Answer.Epoch = Snap.Epoch;
-  Answer.TableQuarantined = Snap.quarantined();
-
-  if (Context.rawValue() >= Snap.H->numClasses()) {
-    // The one unanswerable shape: no rung can resolve a member in the
-    // context of a class this epoch has never heard of. Constant time,
-    // so it counts as the tabulated rung. A *valid-looking* id beyond
-    // the epoch's range is the stale/forged-handle case the release-
-    // safe bounds check exists for: same NotFound, plus an audit stat.
-    if (Context.isValid())
-      ReadStats.add(RcStaleContextRejects);
-    ReadStats.add(RcUnknownContexts);
-    ReadStats.add(RcRungTabulated);
-    Answer.S = Status::error(ErrorCode::UnknownClass,
-                             "unknown context class '" +
-                                 std::string(ClassSpelling) + "' at epoch " +
-                                 std::to_string(Snap.Epoch));
-    Answer.Result = LookupResult::notFound();
-    Answer.Rung = AnswerRung::Tabulated;
-    return Answer;
-  }
-
-  if (!Member.isValid()) {
-    // Name never interned anywhere in this epoch: NotFound, O(1).
-    ReadStats.add(RcRungTabulated);
-    Answer.Result = LookupResult::notFound();
-    Answer.Rung = AnswerRung::Tabulated;
-    return Answer;
-  }
-
-  // Rung 0: the epoch's warm table - a constant-time const read. The
-  // checked find is belt-and-braces here (the bounds check above
-  // already validated Context against the snapshot's hierarchy, and a
-  // published table always spans it).
-  if (Snap.warm()) {
-    ReadStats.add(RcRungTabulated);
-    bool StaleContext = false;
-    Answer.Result =
-        Snap.Table->findChecked(*Snap.H, Context, Member, &StaleContext);
-    if (StaleContext)
-      ReadStats.add(RcStaleContextRejects);
-    Answer.Rung = AnswerRung::Tabulated;
-    Answer.DeadlineExpired = D.expired();
-    return Answer;
-  }
-
-  // Rung 1: a private Figure 8 engine, memoizing only this query's
-  // down-closure, bounded by the caller's deadline. Skipped outright
-  // when the deadline has already expired.
-  if (!D.expired()) {
-    DominanceLookupEngine Engine(*Snap.H,
-                                 DominanceLookupEngine::Mode::LazyRecursive);
-    Engine.setDeadline(&D);
-    LookupResult R = Engine.lookup(Context, Member);
-    if (!isBudgetDegraded(R.Status)) {
-      ReadStats.add(RcRungFigure8);
-      Answer.Result = std::move(R);
-      Answer.Rung = AnswerRung::Figure8PerQuery;
-      return Answer;
-    }
-  }
-
-  // Rung 2: the floor. Instant-ish, never refuses, but approximate
-  // (g++ 2.7.2's eager ambiguity reporting) - a late or approximate
-  // answer beats none, so this rung answers even past the deadline,
-  // flagged.
-  GxxBfsEngine Floor(*Snap.H, Opts.Budget.MaxSubobjects);
-  ReadStats.add(RcRungGxx);
-  Answer.Result = Floor.lookup(Context, Member);
-  Answer.Rung = AnswerRung::GxxApproximate;
-  Answer.Approximate = true;
-  Answer.DeadlineExpired = D.expired();
-  return Answer;
-}
-
-//===----------------------------------------------------------------------===//
-// The query fast lane: resolved handles, batches, probes
-//===----------------------------------------------------------------------===//
 
 void LookupService::resolveKeyOn(const Snapshot &Snap, QueryKey &Key) const {
   Key.Context = Snap.H->findClass(Key.ClassName);
@@ -625,66 +648,18 @@ QueryAnswer LookupService::query(QueryKey &Key, const Deadline &D) const {
 
 QueryAnswer LookupService::queryOn(const Snapshot &Snap, QueryKey &Key,
                                    const Deadline &D) const {
-  ReadStats.add(RcQueries);
-  const uint64_t T0 = Obs.sampleBegin();
-  if (Key.Epoch != Snap.Epoch) {
-    ReadStats.add(RcStaleKeyReresolves);
-    resolveKeyOn(Snap, Key);
-    Obs.noteStaleKey(Snap.Epoch);
-  }
-  QueryAnswer A =
-      answerResolved(Snap, Key.Context, Key.ClassName, Key.Member, D);
-  finishQuery(QueryPath::Key, T0, A);
-  return A;
+  return readKey<QueryAnswer>(Snap, Key, QueryPath::Key, D);
 }
 
 void LookupService::queryMany(std::span<QueryKey> Keys,
                               std::span<QueryAnswer> Answers,
                               const Deadline &D) const {
-  // One guard pins one snapshot for the whole batch, so the windowed
-  // prefetch+answer passes see a consistent epoch.
-  EpochReclaimer::ReadGuard Guard(Reclaimer);
-  queryManyOn(*currentRaw(), Keys, Answers, D);
-}
-
-void LookupService::queryManyOn(const Snapshot &Snap, std::span<QueryKey> Keys,
-                                std::span<QueryAnswer> Answers,
-                                const Deadline &D) const {
   assert(Keys.size() == Answers.size() &&
          "one answer slot per key in a batch");
-  ReadStats.add(RcBatchQueries);
-  ReadStats.add(RcQueries, Keys.size());
-  const uint64_t T0 = Obs.sampleBegin();
-  const bool Warm = Snap.warm();
-  AnswerRung Worst = AnswerRung::Tabulated;
-
-  // Window the batch: pass 1 refreshes stale keys and issues a software
-  // prefetch for each key's compact entry, pass 2 answers them. By the
-  // time pass 2 reads an entry, its cache line has been in flight for a
-  // whole window - the batch pays max(misses), not sum(misses).
-  constexpr size_t Window = 16;
-  for (size_t Base = 0; Base < Keys.size(); Base += Window) {
-    size_t End = std::min(Keys.size(), Base + Window);
-    for (size_t I = Base; I != End; ++I) {
-      QueryKey &Key = Keys[I];
-      if (Key.Epoch != Snap.Epoch) {
-        ReadStats.add(RcStaleKeyReresolves);
-        resolveKeyOn(Snap, Key);
-        Obs.noteStaleKey(Snap.Epoch);
-      }
-      if (Warm)
-        Snap.Table->prefetchEntry(Key.Context, Key.Member);
-    }
-    for (size_t I = Base; I != End; ++I) {
-      Answers[I] = answerResolved(Snap, Keys[I].Context, Keys[I].ClassName,
-                                  Keys[I].Member, D);
-      Worst = std::max(Worst, Answers[I].Rung);
-    }
-  }
-  if (T0 && !Keys.empty())
-    Obs.recordBatchSample(Worst, T0, Snap.Epoch, Keys.size());
-  if (Worst != AnswerRung::Tabulated)
-    Obs.noteRungDrop(QueryPath::Batch, Worst, Snap.Epoch, D.expired());
+  EpochReclaimer::ReadGuard Guard(Reclaimer);
+  const Snapshot &Snap = *currentRaw();
+  for (size_t I = 0; I != Keys.size(); ++I)
+    Answers[I] = queryOn(Snap, Keys[I], D);
 }
 
 ProbeAnswer LookupService::probe(QueryKey &Key, const Deadline &D) const {
@@ -694,69 +669,7 @@ ProbeAnswer LookupService::probe(QueryKey &Key, const Deadline &D) const {
 
 ProbeAnswer LookupService::probeOn(const Snapshot &Snap, QueryKey &Key,
                                    const Deadline &D) const {
-  ReadStats.add(RcProbes);
-  const uint64_t T0 = Obs.sampleBegin();
-  if (Key.Epoch != Snap.Epoch) {
-    ReadStats.add(RcStaleKeyReresolves);
-    resolveKeyOn(Snap, Key);
-    Obs.noteStaleKey(Snap.Epoch);
-  }
-  ProbeAnswer A = probeResolved(Snap, Key, D);
-  if (T0)
-    Obs.recordQuerySample(QueryPath::Probe, A.Rung, T0, A.Epoch,
-                          traceFlagsOf(A));
-  if (A.Rung != AnswerRung::Tabulated)
-    Obs.noteRungDrop(QueryPath::Probe, A.Rung, A.Epoch, A.DeadlineExpired);
-  return A;
-}
-
-ProbeAnswer LookupService::probeResolved(const Snapshot &Snap,
-                                         const QueryKey &Key,
-                                         const Deadline &D) const {
-  ProbeAnswer A;
-  A.Epoch = Snap.Epoch;
-  A.TableQuarantined = Snap.quarantined();
-
-  if (Key.Context.rawValue() >= Snap.H->numClasses()) {
-    if (Key.Context.isValid())
-      ReadStats.add(RcStaleContextRejects);
-    ReadStats.add(RcUnknownContexts);
-    ReadStats.add(RcRungTabulated);
-    A.UnknownContext = true;
-    return A;
-  }
-  if (!Key.Member.isValid()) {
-    ReadStats.add(RcRungTabulated);
-    return A;
-  }
-
-  // The fast lane proper: one compact-entry read, no heap.
-  if (Snap.warm()) {
-    ReadStats.add(RcRungTabulated);
-    LookupTable::Probe P = Snap.Table->probe(Key.Context, Key.Member);
-    if (P.StaleContext)
-      ReadStats.add(RcStaleContextRejects);
-    A.Status = P.Status;
-    A.DefiningClass = P.DefiningClass;
-    A.Access = P.Access;
-    A.SharedStatic = P.SharedStatic;
-    A.DeadlineExpired = D.expired();
-    return A;
-  }
-
-  // Cold or quarantined snapshot: descend the materializing ladder
-  // (allocation is unavoidable there - the per-query engines build
-  // witness state) and compress to the POD shape.
-  QueryAnswer Full =
-      answerResolved(Snap, Key.Context, Key.ClassName, Key.Member, D);
-  A.Status = Full.Result.Status;
-  A.DefiningClass = Full.Result.DefiningClass;
-  A.Access = Full.Result.EffectiveAccess.value_or(AccessSpec::Public);
-  A.SharedStatic = Full.Result.SharedStatic;
-  A.Rung = Full.Rung;
-  A.Approximate = Full.Approximate;
-  A.DeadlineExpired = Full.DeadlineExpired;
-  return A;
+  return readKey<ProbeAnswer>(Snap, Key, QueryPath::Probe, D);
 }
 
 //===----------------------------------------------------------------------===//
@@ -779,7 +692,7 @@ Status LookupService::commit(const Transaction &Txn) {
                           TfRejected);
   };
 
-  std::shared_ptr<const Snapshot> Base = snapshot();
+  std::shared_ptr<const Snapshot> Base = Current;
   if (Base->Epoch != Txn.baseEpoch()) {
     NumCommitConflicts.fetch_add(1, std::memory_order_relaxed);
     TraceReject(Base->Epoch);
@@ -827,43 +740,8 @@ Status LookupService::commit(const Transaction &Txn) {
   auto Next = std::make_shared<Snapshot>();
   Next->Epoch = Base->Epoch + 1;
   Next->H = std::make_shared<const Hierarchy>(Edited.takeValue());
-  if (Opts.WarmOnCommit) {
-    Deadline BuildDeadline = warmDeadline();
-
-    // Fast path: the predecessor epoch is warm and trustworthy and the
-    // script kept class ids stable, so the new table re-tabulates only
-    // the edit's impact set and aliases every other column.
-    if (Base->warm()) {
-      ImpactSet Impact = computeImpactSet(*Base->H, *Next->H, Txn.ops());
-      if (!Impact.FullRebuild) {
-        Next->Table =
-            LookupTable::rewarm(*Next->H, *Base->H, *Base->Table,
-                                Impact.MemberNames, BuildDeadline,
-                                Opts.WarmThreads);
-        if (Next->Table) {
-          const LookupTable::BuildStats &B = Next->Table->buildStats();
-          NumIncrementalRewarms.fetch_add(1, std::memory_order_relaxed);
-          NumColumnsShared.fetch_add(B.ColumnsShared,
-                                     std::memory_order_relaxed);
-          NumColumnsRetabulated.fetch_add(B.ColumnsBuilt,
-                                          std::memory_order_relaxed);
-          NumColumnsDeduped.fetch_add(B.ColumnsDeduped,
-                                      std::memory_order_relaxed);
-        }
-      }
-    }
-
-    // Full build: first epoch shape (cold/quarantined predecessor),
-    // RemoveClass scripts, or a rewarm that missed its deadline (the
-    // remaining budget may still cover a from-scratch parallel build).
-    if (!Next->Table) {
-      Next->Table =
-          LookupTable::build(*Next->H, BuildDeadline, Opts.WarmThreads);
-      if (Next->Table)
-        NumColumnsDeduped.fetch_add(Next->Table->buildStats().ColumnsDeduped,
-                                    std::memory_order_relaxed);
-    }
-  }
+  if (Opts.WarmOnCommit)
+    tabulate(*Next, warmDeadline(), Base.get(), &Txn.ops());
   publish(std::move(Next));
   NumCommits.fetch_add(1, std::memory_order_relaxed);
   Obs.recordWriterEvent(TraceKind::Commit, Base->Epoch + 1,
@@ -880,29 +758,56 @@ void LookupService::abort(const Transaction &Txn) {
 // Table lifecycle
 //===----------------------------------------------------------------------===//
 
+void LookupService::tabulate(Snapshot &Next, const Deadline &D,
+                             const Snapshot *Base,
+                             const std::vector<Transaction::Op> *Ops) {
+  // Fast path: the predecessor epoch is warm and trustworthy and the
+  // script kept class ids stable, so the new table re-tabulates only
+  // the edit's impact set and aliases every other column.
+  if (!Next.Table && Base && Base->warm()) {
+    ImpactSet Impact = computeImpactSet(*Base->H, *Next.H, *Ops);
+    if (!Impact.FullRebuild) {
+      Next.Table = LookupTable::rewarm(*Next.H, *Base->H, *Base->Table,
+                                       Impact.MemberNames, D,
+                                       Opts.WarmThreads);
+      if (Next.Table) {
+        const LookupTable::BuildStats &B = Next.Table->buildStats();
+        NumIncrementalRewarms.fetch_add(1, std::memory_order_relaxed);
+        NumColumnsShared.fetch_add(B.ColumnsShared, std::memory_order_relaxed);
+        NumColumnsRetabulated.fetch_add(B.ColumnsBuilt,
+                                        std::memory_order_relaxed);
+      }
+    }
+  }
+
+  // Full build: no or a cold/quarantined predecessor, RemoveClass
+  // scripts, or a rewarm that missed its deadline (the remaining budget
+  // may still cover a from-scratch parallel build).
+  if (!Next.Table)
+    Next.Table = LookupTable::build(*Next.H, D, Opts.WarmThreads);
+  if (Next.Table)
+    NumColumnsDeduped.fetch_add(Next.Table->buildStats().ColumnsDeduped,
+                                std::memory_order_relaxed);
+}
+
 Status LookupService::warmCurrent(const Deadline &D) {
   std::lock_guard<std::mutex> Writer(WriterMutex);
   const uint64_t T0 = observabilityNowNanos();
 
-  std::shared_ptr<const Snapshot> Base = snapshot();
+  std::shared_ptr<const Snapshot> Base = Current;
   if (Base->warm())
     return Status::ok();
-
-  auto Table = LookupTable::build(*Base->H, D, Opts.WarmThreads);
-  if (Table)
-    NumColumnsDeduped.fetch_add(Table->buildStats().ColumnsDeduped,
-                                std::memory_order_relaxed);
-  if (!Table)
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         "table build missed its deadline at epoch " +
-                             std::to_string(Base->Epoch) +
-                             "; epoch stays cold");
 
   auto Next = std::make_shared<Snapshot>();
   Next->Epoch = Base->Epoch;
   Next->H = Base->H;
-  Next->Table = std::move(Table);
   Next->RebuiltByAudit = Base->RebuiltByAudit;
+  tabulate(*Next, D);
+  if (!Next->Table)
+    return Status::error(ErrorCode::DeadlineExceeded,
+                         "table build missed its deadline at epoch " +
+                             std::to_string(Base->Epoch) +
+                             "; epoch stays cold");
   if (Base->quarantined())
     NumTableRebuilds.fetch_add(1, std::memory_order_relaxed);
   publish(std::move(Next));
@@ -936,7 +841,7 @@ AuditReport LookupService::auditNow() {
   std::lock_guard<std::mutex> Writer(WriterMutex);
   const uint64_t T0 = observabilityNowNanos();
 
-  std::shared_ptr<const Snapshot> Snap = snapshot();
+  std::shared_ptr<const Snapshot> Snap = Current;
   AuditReport Report;
   Report.Epoch = Snap->Epoch;
   Report.TableWasWarm = Snap->warm();
@@ -1013,11 +918,7 @@ AuditReport LookupService::auditNow() {
     auto Next = std::make_shared<Snapshot>();
     Next->Epoch = Snap->Epoch;
     Next->H = Snap->H;
-    Next->Table = LookupTable::build(*Snap->H, warmDeadline(),
-                                     Opts.WarmThreads);
-    if (Next->Table)
-      NumColumnsDeduped.fetch_add(Next->Table->buildStats().ColumnsDeduped,
-                                  std::memory_order_relaxed);
+    tabulate(*Next, warmDeadline());
     Next->RebuiltByAudit = true;
     publish(std::move(Next));
     NumTableRebuilds.fetch_add(1, std::memory_order_relaxed);
@@ -1078,7 +979,6 @@ ServiceStats LookupService::stats() const {
   S.UnknownContexts = ReadStats.total(RcUnknownContexts);
   S.Resolves = ReadStats.total(RcResolves);
   S.Probes = ReadStats.total(RcProbes);
-  S.BatchQueries = ReadStats.total(RcBatchQueries);
   S.StaleKeyReresolves = ReadStats.total(RcStaleKeyReresolves);
   S.StaleContextRejects = ReadStats.total(RcStaleContextRejects);
   S.Audits = NumAudits.load(std::memory_order_relaxed);
@@ -1118,7 +1018,7 @@ bool LookupService::corruptTableEntryForTesting(std::string_view Class,
                                                 std::string_view Member) {
   std::lock_guard<std::mutex> Writer(WriterMutex);
 
-  std::shared_ptr<const Snapshot> Snap = snapshot();
+  std::shared_ptr<const Snapshot> Snap = Current;
   if (!Snap->warm())
     return false;
   ClassId Context = Snap->H->findClass(Class);

@@ -25,8 +25,6 @@ const char *memlook::service::queryPathLabel(QueryPath Path) {
     return "key";
   case QueryPath::Probe:
     return "probe";
-  case QueryPath::Batch:
-    return "batch";
   }
   return "unknown";
 }
@@ -37,8 +35,6 @@ const char *memlook::service::traceKindLabel(TraceKind Kind) {
     return "query";
   case TraceKind::Probe:
     return "probe";
-  case TraceKind::Batch:
-    return "batch";
   case TraceKind::Commit:
     return "commit";
   case TraceKind::CommitReject:
@@ -109,7 +105,6 @@ std::string TraceEvent::toString() const {
   switch (Kind) {
   case TraceKind::Query:
   case TraceKind::Probe:
-  case TraceKind::Batch:
   case TraceKind::Restore:
     Out += std::string(" rung=") + rungFieldLabel(Kind, Rung);
     break;
@@ -144,15 +139,8 @@ TraceRing::TraceRing(uint32_t CapacityPerShard)
     S.Entries = std::make_unique<Entry[]>(Capacity);
 }
 
-size_t TraceRing::shardIndex() {
-  static std::atomic<uint32_t> NextShard{0};
-  thread_local uint32_t Assigned =
-      NextShard.fetch_add(1, std::memory_order_relaxed);
-  return Assigned & (NumShards - 1);
-}
-
 void TraceRing::record(const TraceEvent &E) {
-  Shard &S = Shards[shardIndex()];
+  Shard &S = Shards[threadShardIndex(NumShards)];
   uint64_t Slot = S.Head.fetch_add(1, std::memory_order_relaxed);
   Entry &Slotted = S.Entries[Slot & (Capacity - 1)];
 
@@ -325,29 +313,6 @@ void ObservabilityCenter::recordQuerySample(QueryPath Path, AnswerRung Rung,
                    std::string(queryPathLabel(Path)) + " path");
 }
 
-void ObservabilityCenter::recordBatchSample(AnswerRung WorstRung, uint64_t T0,
-                                            uint64_t Epoch, size_t NumKeys) {
-  uint64_t Now = observabilityNowNanos();
-  uint64_t Duration = Now - T0;
-  PathLatency[static_cast<size_t>(QueryPath::Batch)]
-             [static_cast<size_t>(WorstRung)]
-                 .record(Duration);
-
-  TraceEvent E;
-  E.Kind = TraceKind::Batch;
-  E.Rung = static_cast<uint8_t>(WorstRung);
-  E.Epoch = Epoch;
-  E.DurationNanos = Duration;
-  E.WhenNanos = Now;
-  Ring.record(E);
-
-  if (Opts.SlowQueryNanos && NumKeys &&
-      Duration / NumKeys >= Opts.SlowQueryNanos)
-    Anomalies.note(AnomalyKind::SlowQuery, Epoch,
-                   static_cast<uint8_t>(WorstRung), Duration,
-                   "batch of " + std::to_string(NumKeys) + " keys");
-}
-
 void ObservabilityCenter::recordWriterEvent(TraceKind Kind, uint64_t Epoch,
                                             uint64_t DurationNanos,
                                             uint8_t Rung, uint8_t Flags) {
@@ -440,7 +405,7 @@ const MetricDesc Catalog[] = {
     COUNTER("memlook_aborted_txns_total", AbortedTxns,
             "Explicit abort() calls."),
     COUNTER("memlook_queries_total", Queries,
-            "Queries answered (string, key, and batch keys)."),
+            "Queries answered (string and key, queryMany() keys included)."),
     RUNG_COUNTER("memlook_rung_answers_total{rung=\"tabulated\"}", 0,
                  "Answers served per degradation-ladder rung."),
     RUNG_COUNTER("memlook_rung_answers_total{rung=\"figure8-per-query\"}", 1,
@@ -452,8 +417,6 @@ const MetricDesc Catalog[] = {
     COUNTER("memlook_resolves_total", Resolves,
             "resolve() calls (QueryKeys minted)."),
     COUNTER("memlook_probes_total", Probes, "probe()/probeOn() calls."),
-    COUNTER("memlook_batch_queries_total", BatchQueries,
-            "queryMany() batches (their keys count as queries)."),
     COUNTER("memlook_stale_key_reresolves_total", StaleKeyReresolves,
             "Keys transparently re-resolved after a commit outran them."),
     COUNTER("memlook_stale_context_rejects_total", StaleContextRejects,

@@ -203,8 +203,7 @@ TEST(ObservabilityTest, AccountingInvariantAcrossCampaign) {
         Keys.push_back(std::move(K));
       }
     std::vector<QueryAnswer> Answers(Keys.size());
-    Svc.queryManyOn(*Snap, std::span<QueryKey>(Keys),
-                    std::span<QueryAnswer>(Answers));
+    Svc.queryMany(std::span<QueryKey>(Keys), std::span<QueryAnswer>(Answers));
 
     ServiceStats S = Svc.stats();
     ASSERT_EQ(S.Queries + S.Probes, rungSum(S)) << "seed " << Seed;
@@ -228,10 +227,9 @@ TEST(ObservabilityTest, SampledLatencyHistogramsMatchOperationCounts) {
     Svc.queryMany(std::span<QueryKey>(Keys), std::span<QueryAnswer>(Answers));
 
   EXPECT_EQ(Svc.latencySnapshot(QueryPath::String).count(), 40u);
-  EXPECT_EQ(Svc.latencySnapshot(QueryPath::Key).count(), 30u);
+  // Each batch key records as a key query: 30 singles + 10 x 5 keys.
+  EXPECT_EQ(Svc.latencySnapshot(QueryPath::Key).count(), 80u);
   EXPECT_EQ(Svc.latencySnapshot(QueryPath::Probe).count(), 20u);
-  // A batch records once, not per key.
-  EXPECT_EQ(Svc.latencySnapshot(QueryPath::Batch).count(), 10u);
   // All of it landed on the tabulated rung of a warm epoch.
   EXPECT_EQ(
       Svc.latencySnapshot(QueryPath::String, AnswerRung::Tabulated).count(),
@@ -240,7 +238,7 @@ TEST(ObservabilityTest, SampledLatencyHistogramsMatchOperationCounts) {
       Svc.latencySnapshot(QueryPath::String, AnswerRung::Figure8PerQuery)
           .count(),
       0u);
-  EXPECT_EQ(Svc.stats().LatencySamples, 100u);
+  EXPECT_EQ(Svc.stats().LatencySamples, 140u);
 
   LatencyHistogram H = Svc.latencySnapshot(QueryPath::String);
   EXPECT_GT(H.sum(), 0u);

@@ -722,17 +722,16 @@ TEST(ServiceStressTest, FastLaneReadersShardedStatsAndWriterShareOneService) {
   // racy read. Checked mid-flight, not just after join.
   uint64_t StatsRegressions = 0, StatsSamples = 0;
   std::thread StatsThread([&Svc, &Done, &StatsRegressions, &StatsSamples] {
-    uint64_t LastQ = 0, LastP = 0, LastB = 0, LastR = 0, LastRungs = 0;
+    uint64_t LastQ = 0, LastP = 0, LastR = 0, LastRungs = 0;
     while (!Done.load(std::memory_order_acquire)) {
       ServiceStats S = Svc.stats();
       uint64_t Rungs =
           S.RungAnswers[0] + S.RungAnswers[1] + S.RungAnswers[2];
-      if (S.Queries < LastQ || S.Probes < LastP || S.BatchQueries < LastB ||
+      if (S.Queries < LastQ || S.Probes < LastP ||
           S.StaleKeyReresolves < LastR || Rungs < LastRungs)
         ++StatsRegressions;
       LastQ = S.Queries;
       LastP = S.Probes;
-      LastB = S.BatchQueries;
       LastR = S.StaleKeyReresolves;
       LastRungs = Rungs;
       ++StatsSamples;
